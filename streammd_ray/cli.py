@@ -16,7 +16,9 @@ Flags mapped (SURVEY.md §2.7):
                             reads-per-template switch analog)
   --strip-previous          clear pre-existing is_duplicate marks unless
                             re-marked
-New knobs: --num-shards, --checkpoint-dir (wave-resumable run), --wave-size.
+New knobs: --num-shards, --checkpoint-dir (wave-resumable fused run; parquet
+in and out, arrival order, so it refuses --sort-output and --strip-previous),
+--wave-size.
 """
 
 from __future__ import annotations
@@ -112,6 +114,26 @@ def main(argv=None) -> int:
         print("--input and --output are required (or use --show-capacity)", file=sys.stderr)
         return 2
 
+    if args.checkpoint_dir:
+        unsupported = [
+            flag
+            for flag, given in (
+                ("--sort-output", args.sort_output),
+                ("--strip-previous", args.strip_previous),
+                ("--input-format", args.input_format != "parquet"),
+                ("--output-format", args.output_format != "parquet"),
+            )
+            if given
+        ]
+        if unsupported:
+            print(
+                f"--checkpoint-dir cannot honour {', '.join(unsupported)}: "
+                "wave runs read and write parquet in arrival order and keep "
+                "previous marks",
+                file=sys.stderr,
+            )
+            return 2
+
     import ray
 
     if not ray.is_initialized():
@@ -131,23 +153,25 @@ def main(argv=None) -> int:
             paths = sorted(glob.glob(os.path.join(paths[0], ext))) or paths
 
         scope = "conversation" if args.single else "global"
+        key_cols = tuple(c.strip() for c in args.key_cols.split(",") if c.strip())
 
         if args.checkpoint_dir:
-            from .state.checkpoint import run_with_checkpoint
+            from .state.checkpoint import run_flagship_checkpointed
 
-            manifest = run_with_checkpoint(
+            manifest, _ = run_flagship_checkpointed(
                 paths,
                 ckpt_dir=args.checkpoint_dir,
-                out_dir=args.output,
+                output_dir=args.output,
                 wave_size=args.wave_size,
                 p=args.fp_rate,
                 mem=args.mem,
                 num_shards=args.num_shards,
+                key_cols=key_cols,
                 scope=scope,
+                bloom_layout=args.bloom_layout
+                or ("blocked" if args.bloom_blocked else None),
                 remove_duplicates=args.remove_duplicates,
                 allow_overcapacity=args.allow_overcapacity,
-                bloom_blocked=args.bloom_blocked,
-                bloom_layout=args.bloom_layout,
             )
             metrics = manifest["metrics"]
         else:
@@ -157,7 +181,7 @@ def main(argv=None) -> int:
             ds = read_transcripts(paths, fmt=args.input_format)
             res = mark_duplicates(
                 ds,
-                key_cols=tuple(c.strip() for c in args.key_cols.split(",") if c.strip()),
+                key_cols=key_cols,
                 scope=scope,
                 p=args.fp_rate,
                 mem=args.mem,

@@ -166,6 +166,16 @@ class SketchTail:
         )
 
 
+class _FirstSeenSinkTail(SketchTail):
+    """``remove_duplicates``: the part files get only the first-seen rows,
+    while the counters and sketches still see every turn."""
+
+    def _write_part(self, batch: pa.Table) -> None:
+        super()._write_part(
+            batch.filter(pc.invert(batch[self.mark_col].combine_chunks()))
+        )
+
+
 class _ConsumedDataset:
     """Guard standing in for a lazy marked Dataset that has already been
     consumed (consume-once contract): any attribute access raises."""
@@ -215,7 +225,9 @@ def run_flagship(
     persistence of the marked table, done INSIDE the same pass: the tail
     writes each block to its own part file before sketching — no
     materialization of the marked table at any scale, and the consume-once
-    contract holds because there is still exactly one execution)."""
+    contract holds because there is still exactly one execution). With
+    ``remove_duplicates=True`` the part files hold only first-seen rows;
+    counters and sketches still count every turn."""
     res = mark_duplicates(
         ds,
         p=p,
@@ -231,7 +243,8 @@ def run_flagship(
     # preceding task-based 'finish' stage into one operator, so the marked
     # blocks never make an extra object-store hop through a separate actor
     # pool (measured ~20% of the fused pass at 32 CPUs)
-    tail = SketchTail(packed, output_dir=output_dir)
+    tail_cls = _FirstSeenSinkTail if res.config["remove_duplicates"] else SketchTail
+    tail = tail_cls(packed, output_dir=output_dir)
     # batch_size=None → one partial per BLOCK: with 64 fat input blocks that
     # is 64 partials (~170 KB each) to tree-merge on the driver instead of
     # hundreds — the driver-side merge stays O(blocks), not O(rows/batch)

@@ -116,7 +116,8 @@ def mark_duplicates(
     scope='global' dedups on the content key alone (cross-conversation);
     scope='conversation' prepends conv_id to the key — the analog of the
     reference's per-template grouping (each conversation dedups its own
-    turns). ``shards`` lets a resumable driver pass pre-loaded actors.
+    turns). ``shards`` lets a resumable driver pass pre-loaded actors; their
+    layout was fixed at spawn, so ``bloom_layout`` is then ignored.
 
     CONSUME-ONCE CONTRACT: the marking stage mutates shard-actor state, so
     the marked dataset must execute exactly once — Ray re-executes a lazy

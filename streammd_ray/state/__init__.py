@@ -1,3 +1,3 @@
-from .checkpoint import run_with_checkpoint
+from .checkpoint import run_flagship_checkpointed
 
-__all__ = ["run_with_checkpoint"]
+__all__ = ["run_flagship_checkpointed"]

@@ -1,23 +1,25 @@
-"""Checkpoint / resume / lineage for the dedup pipeline (north_rule:
+"""Checkpoint / resume / lineage for the fused flagship pass (north_rule:
 "resumable from checkpoint with per-partition lineage + metrics").
 
 The reference engine is single-pass-or-nothing (SURVEY.md §4.1); this module
 adds the piece a multi-node run needs. Model:
 
 - The input file list is split into **waves** of ``wave_size`` files. Each
-  wave runs as one streaming Dataset pass through the SAME long-lived Bloom
-  shard actors (so cross-wave duplicates are still caught), writing its
-  output partition to ``out_dir/wave-{i}`` atomically (tmp dir + rename).
-- After each wave the driver snapshots: every shard's serialized filter
-  (``shards/wave-{i}/shard-{j}.bloom``), the wave's counter metrics, an HLL
-  over conv_id (mergeable across waves — CONVERSATIONS without a global
-  distinct), and a lineage record (files, config, engine + hasher versions)
-  into ``manifest.json`` (written atomically).
+  wave runs as ONE fused ``run_flagship`` pass (mark + sketch partials +
+  part-file writes) through the SAME long-lived Bloom shard actors (so
+  cross-wave duplicates are still caught), writing its part files to
+  ``output_dir/wave-{i}`` atomically (tmp dir + rename).
+- After each wave the driver checks shard capacity, commits the output,
+  snapshots every shard's serialized filter and running counters
+  (``shards/wave-{i}/``), and records the wave's counters, sketch states and
+  lineage (files, config, engine + hasher versions) in ``manifest.json``
+  (written atomically).
 - On resume, completed waves are skipped; shard actors are re-loaded from
   the last completed wave's snapshot, so re-processing an unfinished wave
   re-inserts only keys that wave had added — Bloom re-insert is idempotent
   for membership (SURVEY.md §4.2 retry note), and its output directory is
-  rewritten wholesale.
+  rewritten wholesale. Results are content-identical to one uninterrupted
+  run.
 
 This is the "partitioned parquet output + manifest of completed partitions"
 layout the scale guidance calls for — a failed 100-TB run resumes at wave
@@ -30,8 +32,6 @@ import json
 import os
 import shutil
 import uuid
-
-from ..sketches.hll import HyperLogLog
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -49,247 +49,10 @@ def _load_manifest(ckpt_dir: str) -> dict | None:
     return None
 
 
-def run_with_checkpoint(
-    input_files: list[str],
-    *,
-    ckpt_dir: str,
-    out_dir: str,
-    wave_size: int = 8,
-    p: float = 1e-6,
-    mem: str | None = None,
-    total_capacity: int | None = None,
-    num_shards: int = 8,
-    key_cols: tuple[str, ...] = ("text",),
-    scope: str = "global",
-    remove_duplicates: bool = False,
-    allow_overcapacity: bool = False,
-    bloom_blocked: bool = False,
-    bloom_layout: str | None = None,
-) -> dict:
-    """Run (or resume) the checkpointed mark-duplicates job. Returns the
-    final manifest including accumulated metrics. ``bloom_layout`` (or the
-    legacy ``bloom_blocked`` flag) selects the probe layout; shard
-    snapshots pickle the filter object, so resumes restore whichever layout
-    the run started with, and the manifest pins the layout so a resume with
-    a different flag fails loudly instead of mixing geometries."""
-    import ray
-    import ray.data as rd
-
-    from .. import __version__
-    from ..hashing import HASHER_ID
-    from ..pipelines.mark_duplicates import mark_duplicates
-    from ..stages.dedup import make_shard_actors
-
-    input_files = sorted(input_files)
-    waves = [
-        input_files[i : i + wave_size] for i in range(0, len(input_files), wave_size)
-    ]
-    os.makedirs(ckpt_dir, exist_ok=True)
-    os.makedirs(out_dir, exist_ok=True)
-
-    config = {
-        "p": p,
-        "mem": mem,
-        "total_capacity": total_capacity,
-        "num_shards": num_shards,
-        "key_cols": list(key_cols),
-        "scope": scope,
-        "remove_duplicates": remove_duplicates,
-        "engine_version": __version__,
-        "hasher": HASHER_ID,
-        "bloom_blocked": bloom_blocked,
-        "bloom_layout": bloom_layout,
-    }
-
-    manifest = _load_manifest(ckpt_dir)
-    if manifest is not None:
-        if manifest["config"] != config or manifest["input_files"] != input_files:
-            raise ValueError(
-                "checkpoint config/input mismatch — refusing to resume; "
-                "use a fresh ckpt_dir"
-            )
-    else:
-        manifest = {
-            "run_id": str(uuid.uuid4()),
-            "config": config,
-            "input_files": input_files,
-            "n_waves": len(waves),
-            "waves": {},
-        }
-
-    shards = make_shard_actors(
-        num_shards, p=p, total_capacity=total_capacity, mem=mem,
-        blocked=bloom_blocked, layout=bloom_layout,
-    )
-
-    # resume: restore shard state from the last completed wave
-    done = sorted(int(k) for k, v in manifest["waves"].items() if v["status"] == "done")
-    last_done = done[-1] if done else None
-    if last_done is not None:
-        state_dir = os.path.join(ckpt_dir, "shards", f"wave-{last_done}")
-        counters_path = os.path.join(state_dir, "counters.json")
-        counters = []
-        if os.path.exists(counters_path):
-            with open(counters_path) as f:
-                counters = json.load(f)
-        futures = []
-        for j, s in enumerate(shards):
-            c = counters[j] if j < len(counters) else {"keys_seen": 0, "dups": 0}
-            with open(os.path.join(state_dir, f"shard-{j}.bloom"), "rb") as f:
-                futures.append(
-                    s.load.remote(f.read(), c["keys_seen"], c["dups"])
-                )
-        ray.get(futures)
-
-    for i, files in enumerate(waves):
-        if str(i) in manifest["waves"] and manifest["waves"][str(i)]["status"] == "done":
-            continue
-        ds = rd.read_parquet(files)
-        # materialize=True: the wave executes the marking pass exactly once
-        # (consume-once contract) and the pinned blocks feed the write, the
-        # metrics aggregation and the conv-HLL below. Wave memory footprint
-        # is bounded by wave_size — that's the knob.
-        res = mark_duplicates(
-            ds,
-            key_cols=key_cols,
-            scope=scope,
-            p=p,
-            mem=mem,
-            total_capacity=total_capacity,
-            remove_duplicates=remove_duplicates,
-            shards=shards,
-            materialize=True,
-        )
-
-        wave_out = os.path.join(out_dir, f"wave-{i}")
-        tmp_out = wave_out + ".tmp"
-        shutil.rmtree(tmp_out, ignore_errors=True)
-        shutil.rmtree(wave_out, ignore_errors=True)
-        res.dataset.write_parquet(tmp_out)
-
-        # wave counters + ALL estimate-sketch states ride the same pinned
-        # blocks: per-batch partials, tree-merged, persisted per wave
-        # (north_star: "checkpoints per-partition sketch states")
-        import pickle as _pickle
-
-        from ..pipelines.flagship import SketchTail, default_sketch_specs
-        from ..stages.sketch_agg import tree_merge
-
-        partials = res.marked.map_batches(
-            SketchTail,
-            fn_constructor_kwargs={
-                "specs_bytes": _pickle.dumps(default_sketch_specs())
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        by_name: dict = {}
-        for row in partials.take_all():
-            by_name.setdefault(row["sketch"], []).append(row["state"])
-        counts = [_pickle.loads(s) for s in by_name.pop("__counts")]
-        agg = {
-            "turns": sum(c[0] for c in counts),
-            "dups": sum(c[1] for c in counts),
-            "nulls": sum(c[2] for c in counts),
-        }
-        wave_sketches = {n: tree_merge(sts) for n, sts in by_name.items()}
-        conv_hll = wave_sketches["convs_hll"]
-
-        res.check_capacity(allow_overcapacity=allow_overcapacity)
-
-        # snapshot shard states + running counters (so a resumed run's
-        # shard_stats/check_capacity report true keys_seen/dups, not zeros)
-        state_dir = os.path.join(ckpt_dir, "shards", f"wave-{i}")
-        os.makedirs(state_dir, exist_ok=True)
-        states = ray.get([s.state.remote() for s in shards])
-        for j, b in enumerate(states):
-            tmp = os.path.join(state_dir, f"shard-{j}.bloom.tmp")
-            with open(tmp, "wb") as f:
-                f.write(b)
-            os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
-        shard_counters = [
-            {"keys_seen": s["keys_seen"], "dups": s["dups"]}
-            for s in ray.get([s.stats.remote() for s in shards])
-        ]
-        _atomic_write_json(os.path.join(state_dir, "counters.json"), shard_counters)
-
-        os.replace(tmp_out, wave_out)
-        manifest["waves"][str(i)] = {
-            "status": "done",
-            "files": files,
-            "output": wave_out,
-            "metrics": {
-                "turns": int(agg["turns"]),
-                "nulls": int(agg["nulls"]),
-                "dups": int(agg["dups"]),
-            },
-            "conv_hll": conv_hll.to_bytes().hex(),
-            "sketches": {
-                n: sk.to_bytes().hex() for n, sk in wave_sketches.items()
-            },
-        }
-        _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
-        # keep only the latest snapshot to bound checkpoint size — deleted
-        # only AFTER the manifest durably records this wave as done, so a
-        # crash anywhere in this wave still finds the previous wave's
-        # snapshot on resume
-        if i > 0:
-            prev = os.path.join(ckpt_dir, "shards", f"wave-{i - 1}")
-            shutil.rmtree(prev, ignore_errors=True)
-
-    # final metrics: sum counters, merge every sketch across waves (wave
-    # order is arbitrary — merges are associative by construction)
-    import pickle as _pickle
-
-    from ..sketches.base import merge_all as _merge_all
-
-    turns = sum(w["metrics"]["turns"] for w in manifest["waves"].values())
-    nulls = sum(w["metrics"]["nulls"] for w in manifest["waves"].values())
-    dups = sum(w["metrics"]["dups"] for w in manifest["waves"].values())
-    hll = HyperLogLog()
-    for w in manifest["waves"].values():
-        hll.merge(HyperLogLog.from_bytes(bytes.fromhex(w["conv_hll"])))
-    denom = turns - nulls
-    manifest["metrics"] = {
-        "TURNS": turns,
-        "TURNS_NULL_TEXT": nulls,
-        "TURNS_MARKED_DUPLICATE": dups,
-        "CONVERSATIONS": round(hll.estimate()),
-        "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
-    }
-    sketch_names = set()
-    for w in manifest["waves"].values():
-        sketch_names |= set(w.get("sketches", {}))
-    estimates: dict = {}
-    for n in sorted(sketch_names):
-        states = [
-            _pickle.loads(bytes.fromhex(w["sketches"][n]))
-            for w in manifest["waves"].values()
-            if n in w.get("sketches", {})
-        ]
-        merged = _merge_all(states)
-        if n == "tools_cms":
-            estimates[n] = merged.top_k(5)
-        elif n.startswith("len_"):
-            estimates[n] = {
-                "p50": float(merged.quantile(0.5)),
-                "p99": float(merged.quantile(0.99)),
-            }
-        else:
-            estimates[n] = float(merged.estimate())
-    manifest["sketch_estimates"] = estimates
-    _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
-    # shard state is durably snapshot; release the actors (their filters
-    # can be large) so repeated jobs in one session don't accumulate them
-    for s_ in shards:
-        ray.kill(s_)
-    return manifest
-
-
 def _snapshot_shards(shards, ckpt_dir: str, tag: str) -> None:
     """Persist every shard's filter + running counters under
-    ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file)."""
+    ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file), so a resumed
+    run's shard stats and capacity check report true keys_seen/dups."""
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
@@ -311,14 +74,10 @@ def _restore_shards(shards, ckpt_dir: str, tag: str) -> None:
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
-    counters_path = os.path.join(state_dir, "counters.json")
-    counters = []
-    if os.path.exists(counters_path):
-        with open(counters_path) as f:
-            counters = json.load(f)
+    with open(os.path.join(state_dir, "counters.json")) as f:
+        counters = json.load(f)
     futures = []
-    for j, s in enumerate(shards):
-        c = counters[j] if j < len(counters) else {"keys_seen": 0, "dups": 0}
+    for j, (s, c) in enumerate(zip(shards, counters)):
         with open(os.path.join(state_dir, f"shard-{j}.bloom"), "rb") as f:
             futures.append(s.load.remote(f.read(), c["keys_seen"], c["dups"]))
     ray.get(futures)
@@ -335,25 +94,32 @@ def run_flagship_checkpointed(
     total_capacity: int | None = None,
     num_shards: int = 8,
     columns: list[str] | None = None,
-    **flagship_kwargs,
+    key_cols: tuple[str, ...] = ("text",),
+    scope: str = "global",
+    bloom_layout: str | None = None,
+    remove_duplicates: bool = False,
+    allow_overcapacity: bool = False,
 ):
-    """Within-job resume for the FUSED flagship pass (round-3 judge item #7).
+    """Run (or resume) the fused flagship pass in checkpointed waves.
 
     ``run_flagship`` is one streaming mark+sketch+persist execution — a crash
-    90% through a 100-TB run restarted it from zero. This runner splits the
-    input file list into waves and runs the SAME fused single pass per wave
-    through long-lived shard actors (cross-wave duplicates are still caught:
-    the Bloom state spans waves). After each wave it atomically commits the
-    wave's part files, sketch/counter partials and a shard snapshot; a
-    restart skips every committed wave, reloads the shard snapshot, discards
-    the in-flight wave's tmp output and continues. Results are
-    content-identical to a single uninterrupted pass: Bloom re-insert is
-    idempotent for membership and an uncommitted wave's inserts are
-    discarded with the snapshot reload.
+    90% through a 100-TB run would restart it from zero. This runner runs
+    the SAME fused single pass per wave (see the module docstring) and
+    commits each wave atomically; a restart skips every committed wave,
+    reloads the shard snapshot, discards the in-flight wave's tmp output and
+    continues.
 
-    Returns (FlagshipResult-shaped metrics dict, manifest). The marked table
-    lands under ``output_dir/wave-{i}/`` — partitioned parquet, one dir per
-    wave, the resumable-output layout the scale guidance calls for.
+    ``key_cols``/``scope``/``remove_duplicates`` mean what they mean for
+    ``mark_duplicates``; with ``remove_duplicates`` the part files hold only
+    first-seen rows while counters and sketches still count every turn.
+    ``bloom_layout`` selects the shards' probe geometry. All four, like the
+    sizing, are pinned in the manifest config: a resume with any of them
+    changed raises ``ValueError`` instead of mixing geometries or key specs.
+    Each wave's capacity is checked before it commits; an over-capacity
+    filter raises ``CapacityExceeded`` unless ``allow_overcapacity``.
+
+    Returns ``(manifest, merged_sketches)``. The marked table lands under
+    ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave.
     """
     import pickle
 
@@ -380,6 +146,10 @@ def run_flagship_checkpointed(
         "total_capacity": total_capacity,
         "num_shards": num_shards,
         "columns": columns,
+        "key_cols": list(key_cols),
+        "scope": scope,
+        "bloom_layout": bloom_layout,
+        "remove_duplicates": remove_duplicates,
         "engine_version": __version__,
         "hasher": HASHER_ID,
     }
@@ -400,68 +170,77 @@ def run_flagship_checkpointed(
         }
 
     shards = make_shard_actors(
-        num_shards, p=p, total_capacity=total_capacity, mem=mem
+        num_shards, p=p, total_capacity=total_capacity, mem=mem, layout=bloom_layout
     )
-    done = sorted(
-        int(k) for k, v in manifest["waves"].items() if v["status"] == "done"
-    )
-    if done:
-        _restore_shards(shards, ckpt_dir, f"wave-{done[-1]}")
-
-    for i, files in enumerate(waves):
-        if manifest["waves"].get(str(i), {}).get("status") == "done":
-            continue
-        wave_out = os.path.join(output_dir, f"wave-{i}")
-        tmp_out = wave_out + ".tmp"
-        shutil.rmtree(tmp_out, ignore_errors=True)
-        shutil.rmtree(wave_out, ignore_errors=True)
-
-        ds = rd.read_parquet(files, columns=columns)
-        # the fused single pass: mark + sketch partials + part-file writes
-        # all inside one streaming execution (seal only after the LAST wave)
-        res = run_flagship(
-            ds,
-            p=p,
-            mem=mem,
-            num_shards=num_shards,
-            shards=shards,
-            output_dir=tmp_out,
-            seal=False,
-            **flagship_kwargs,
+    # kill on every exit: map workers keep the mark closure's shard handles
+    # alive, so the actors would outlive a wave that raised
+    try:
+        done = sorted(
+            int(k) for k, v in manifest["waves"].items() if v["status"] == "done"
         )
-        os.replace(tmp_out, wave_out)
-        _snapshot_shards(shards, ckpt_dir, f"wave-{i}")
-        manifest["waves"][str(i)] = {
-            "status": "done",
-            "files": files,
-            "output": wave_out,
-            "parts": sorted(os.listdir(wave_out)),
-            "metrics": {k: int(v) for k, v in res.counters.items()},
-            "sketches": {
-                n: sk.to_bytes().hex() for n, sk in res.sketches.items()
-            },
-        }
-        _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
-        if i > 0:
-            shutil.rmtree(
-                os.path.join(ckpt_dir, "shards", f"wave-{i - 1}"),
-                ignore_errors=True,
+        if done:
+            _restore_shards(shards, ckpt_dir, f"wave-{done[-1]}")
+
+        for i, files in enumerate(waves):
+            if manifest["waves"].get(str(i), {}).get("status") == "done":
+                continue
+            wave_out = os.path.join(output_dir, f"wave-{i}")
+            tmp_out = wave_out + ".tmp"
+            shutil.rmtree(tmp_out, ignore_errors=True)
+            shutil.rmtree(wave_out, ignore_errors=True)
+
+            ds = rd.read_parquet(files, columns=columns)
+            res = run_flagship(
+                ds,
+                p=p,
+                mem=mem,
+                num_shards=num_shards,
+                shards=shards,
+                output_dir=tmp_out,
+                seal=False,
+                key_cols=key_cols,
+                scope=scope,
+                remove_duplicates=remove_duplicates,
             )
+            res.mark.check_capacity(allow_overcapacity=allow_overcapacity)
+            os.replace(tmp_out, wave_out)
+            _snapshot_shards(shards, ckpt_dir, f"wave-{i}")
+            manifest["waves"][str(i)] = {
+                "status": "done",
+                "files": files,
+                "output": wave_out,
+                "parts": sorted(os.listdir(wave_out)),
+                "metrics": {k: int(v) for k, v in res.counters.items()},
+                "sketches": {
+                    n: sk.to_bytes().hex() for n, sk in res.sketches.items()
+                },
+            }
+            _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
+            # the previous snapshot goes only AFTER the manifest durably
+            # records this wave as done, so a crash anywhere in this wave
+            # still finds it on resume
+            if i > 0:
+                shutil.rmtree(
+                    os.path.join(ckpt_dir, "shards", f"wave-{i - 1}"),
+                    ignore_errors=True,
+                )
+    finally:
+        for s in shards:
+            ray.kill(s)
 
-    ray.get([s.seal.remote() for s in shards])
-
-    turns = sum(w["metrics"]["turns"] for w in manifest["waves"].values())
-    nulls = sum(w["metrics"]["nulls"] for w in manifest["waves"].values())
-    dups = sum(w["metrics"]["dups"] for w in manifest["waves"].values())
-    sketch_names = sorted(
-        {n for w in manifest["waves"].values() for n in w.get("sketches", {})}
-    )
+    # final metrics: sum counters, merge every sketch across waves (wave
+    # order is arbitrary — merges are associative by construction)
+    done_waves = manifest["waves"].values()
+    turns = sum(w["metrics"]["turns"] for w in done_waves)
+    nulls = sum(w["metrics"]["nulls"] for w in done_waves)
+    dups = sum(w["metrics"]["dups"] for w in done_waves)
+    sketch_names = sorted({n for w in done_waves for n in w["sketches"]})
     merged = {
         n: merge_all(
             [
                 pickle.loads(bytes.fromhex(w["sketches"][n]))
-                for w in manifest["waves"].values()
-                if n in w.get("sketches", {})
+                for w in done_waves
+                if n in w["sketches"]
             ]
         )
         for n in sketch_names
@@ -477,6 +256,4 @@ def run_flagship_checkpointed(
         "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
     }
     _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
-    for s_ in shards:
-        ray.kill(s_)
     return manifest, merged

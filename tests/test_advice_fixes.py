@@ -105,7 +105,7 @@ def test_checkpoint_resume_restores_counters(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from streammd_ray.state.checkpoint import run_with_checkpoint
+    from streammd_ray.state.checkpoint import run_flagship_checkpointed
 
     files = []
     for i in range(4):
@@ -125,15 +125,20 @@ def test_checkpoint_resume_restores_counters(ray_session, tmp_path):
 
     ckpt = str(tmp_path / "ckpt")
     out = str(tmp_path / "out")
-    m1 = run_with_checkpoint(
-        files[:2], ckpt_dir=ckpt + "-a", out_dir=out + "-a", wave_size=1, num_shards=2
+    m1, _ = run_flagship_checkpointed(
+        files[:2],
+        ckpt_dir=ckpt + "-a",
+        output_dir=out + "-a",
+        wave_size=1,
+        mem="1MiB",
+        num_shards=2,
     )
     assert m1["metrics"]["TURNS"] == 8
 
     # two-phase run against ONE ckpt dir: first wave only (simulate by
     # running all; then resume and confirm counters survive the reload)
-    m2 = run_with_checkpoint(
-        files, ckpt_dir=ckpt, out_dir=out, wave_size=2, num_shards=2
+    m2, _ = run_flagship_checkpointed(
+        files, ckpt_dir=ckpt, output_dir=out, wave_size=2, mem="1MiB", num_shards=2
     )
     # resume with everything done: shards reload from the final snapshot
     import json

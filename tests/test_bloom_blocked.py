@@ -180,36 +180,47 @@ def test_mark_duplicates_blocked_agrees_with_classic(ray_session, tmp_path):
 
 
 def test_checkpoint_resume_guards_blocked_flag(ray_session, tmp_path):
-    """A checkpointed run records bloom_blocked in its config fingerprint;
-    resuming with the other layout must refuse (the shard snapshots are
-    layout-specific bit arrays)."""
+    """A checkpointed run with bloom_layout="blocked" spawns blocked shards
+    and records the layout in its config fingerprint; resuming with the
+    default layout must refuse (the shard snapshots are layout-specific bit
+    arrays)."""
+    import glob
+    import os
+    import pickle
+
     from streammd_ray.sources import generate_transcripts
-    from streammd_ray.state import run_with_checkpoint
+    from streammd_ray.state import run_flagship_checkpointed
 
     out = str(tmp_path / "gen")
     paths, _ = generate_transcripts(
         out, n_turns=2_000, seed=32, dup_frac=0.2, n_files=2, return_truth=True
     )
     ckpt = str(tmp_path / "ckpt")
-    manifest = run_with_checkpoint(
+    manifest, _ = run_flagship_checkpointed(
         paths,
         ckpt_dir=ckpt,
-        out_dir=str(tmp_path / "out"),
+        output_dir=str(tmp_path / "out"),
         wave_size=1,
         p=1e-9,
+        mem="1MiB",
         num_shards=2,
-        bloom_blocked=True,
+        bloom_layout="blocked",
     )
-    assert manifest["config"]["bloom_blocked"] is True
+    assert manifest["config"]["bloom_layout"] == "blocked"
+    snapshots = glob.glob(os.path.join(ckpt, "shards", "wave-*", "shard-*.bloom"))
+    assert snapshots
+    for path in snapshots:
+        with open(path, "rb") as f:
+            assert pickle.loads(f.read()).kind == "bloom_blocked"
     with pytest.raises(ValueError, match="mismatch"):
-        run_with_checkpoint(
+        run_flagship_checkpointed(
             paths,
             ckpt_dir=ckpt,
-            out_dir=str(tmp_path / "out2"),
+            output_dir=str(tmp_path / "out2"),
             wave_size=1,
             p=1e-9,
+            mem="1MiB",
             num_shards=2,
-            bloom_blocked=False,
         )
 
 

@@ -274,33 +274,45 @@ def test_mark_duplicates_split_agrees_with_classic(ray_session, tmp_path):
 
 
 def test_checkpoint_resume_guards_layout(ray_session, tmp_path):
-    """The checkpoint manifest pins bloom_layout; resuming with a different
-    layout refuses (shard snapshots are layout-specific bit arrays)."""
+    """The checkpointed runner spawns its shards with bloom_layout and the
+    manifest pins it; resuming with a different layout refuses (shard
+    snapshots are layout-specific bit arrays)."""
+    import glob
+    import os
+    import pickle
+
     from streammd_ray.sources import generate_transcripts
-    from streammd_ray.state import run_with_checkpoint
+    from streammd_ray.state import run_flagship_checkpointed
 
     out = str(tmp_path / "gen")
     paths, _ = generate_transcripts(
         out, n_turns=2_000, seed=34, dup_frac=0.2, n_files=2, return_truth=True
     )
     ckpt = str(tmp_path / "ckpt")
-    manifest = run_with_checkpoint(
+    manifest, _ = run_flagship_checkpointed(
         paths,
         ckpt_dir=ckpt,
-        out_dir=str(tmp_path / "out"),
+        output_dir=str(tmp_path / "out"),
         wave_size=1,
         p=1e-9,
+        mem="1MiB",
         num_shards=2,
         bloom_layout="split",
     )
     assert manifest["config"]["bloom_layout"] == "split"
+    snapshots = glob.glob(os.path.join(ckpt, "shards", "wave-*", "shard-*.bloom"))
+    assert snapshots
+    for path in snapshots:
+        with open(path, "rb") as f:
+            assert pickle.loads(f.read()).kind == "bloom_split"
     with pytest.raises(ValueError, match="mismatch"):
-        run_with_checkpoint(
+        run_flagship_checkpointed(
             paths,
             ckpt_dir=ckpt,
-            out_dir=str(tmp_path / "out2"),
+            output_dir=str(tmp_path / "out2"),
             wave_size=1,
             p=1e-9,
+            mem="1MiB",
             num_shards=2,
             bloom_layout="blocked",
         )

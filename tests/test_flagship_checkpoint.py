@@ -73,16 +73,32 @@ def test_full_run_marks_cross_wave_dups(ray_session, wave_files, tmp_path):
     # every repeated text is marked exactly once (on its later occurrence)
     dup_texts = marked[marked["is_duplicate"]]["text"]
     assert dup_texts.is_unique and len(dup_texts) == 400
-    # sketches merged across waves
-    assert "convs_hll" in merged
+    # every sketch state persisted per wave and merged across waves
+    assert set(merged) == {"convs_hll", "tools_cms", "len_tdigest", "len_kll"}
+    assert merged["len_tdigest"].quantile(0.5) > 0
+    assert merged["tools_cms"].top_k(5)
+    assert merged["convs_hll"].estimate() > 0
     # every wave recorded its committed part files
     for w in manifest["waves"].values():
         assert w["status"] == "done" and w["parts"]
+        assert set(w["sketches"]) == set(merged)
+
+
+def _alive_shards() -> set:
+    import ray
+
+    return {
+        aid
+        for aid, a in ray._private.state.actors().items()
+        if a["ActorClassName"] == "_BloomShard" and a["State"] == "ALIVE"
+    }
 
 
 def test_kill_and_resume_content_identical(
     ray_session, wave_files, tmp_path, monkeypatch
 ):
+    import time
+
     import streammd_ray.pipelines.flagship as fmod
 
     real = fmod.run_flagship
@@ -97,6 +113,8 @@ def test_kill_and_resume_content_identical(
         return real(*a, **k)
 
     monkeypatch.setattr(fmod, "run_flagship", crashing)
+    # shards left by earlier tests in the session are not this runner's
+    before = _alive_shards()
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_flagship_checkpointed(
             wave_files,
@@ -109,6 +127,11 @@ def test_kill_and_resume_content_identical(
     manifest = json.load(open(os.path.join(ckpt, "manifest.json")))
     done = {k for k, v in manifest["waves"].items() if v["status"] == "done"}
     assert done == {"0"}
+    # the crashed run killed its shards (ray.kill lands asynchronously)
+    deadline = time.monotonic() + 30
+    while _alive_shards() - before and time.monotonic() < deadline:
+        time.sleep(0.2)
+    assert not _alive_shards() - before
     monkeypatch.undo()
 
     # resume: only the unfinished waves run
@@ -147,20 +170,19 @@ def test_kill_and_resume_content_identical(
 
 
 def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
-    run_flagship_checkpointed(
-        wave_files,
+    run = dict(
         ckpt_dir=str(tmp_path / "ckpt"),
         output_dir=str(tmp_path / "out"),
         wave_size=1,
         p=1e-9,
         num_shards=4,
     )
-    with pytest.raises(ValueError, match="mismatch"):
-        run_flagship_checkpointed(
-            wave_files,
-            ckpt_dir=str(tmp_path / "ckpt"),
-            output_dir=str(tmp_path / "out"),
-            wave_size=1,
-            p=1e-6,  # changed
-            num_shards=4,
-        )
+    run_flagship_checkpointed(wave_files, **run)
+    for changed in (
+        {"p": 1e-6},
+        {"scope": "conversation"},
+        {"key_cols": ("text", "tool")},
+        {"remove_duplicates": True},
+    ):
+        with pytest.raises(ValueError, match="mismatch"):
+            run_flagship_checkpointed(wave_files, **{**run, **changed})

@@ -211,19 +211,16 @@ def test_cross_wave_duplicate_survives_checkpoint_resume(
         real_write(path, obj)
 
     monkeypatch.setattr(ck, "_atomic_write_json", crashing_write)
+    run = dict(ckpt_dir=ckpt, output_dir=out, wave_size=1, mem="1MiB", num_shards=2)
     with pytest.raises(RuntimeError, match="injected crash"):
-        ck.run_with_checkpoint(
-            [f1, f2], ckpt_dir=ckpt, out_dir=out, wave_size=1, num_shards=2
-        )
+        ck.run_flagship_checkpointed([f1, f2], **run)
     monkeypatch.setattr(ck, "_atomic_write_json", real_write)
 
     # the wave-0 snapshot must have survived the crash (deletion is
     # deferred until the NEXT wave is durably recorded)
     assert os.path.exists(os.path.join(ckpt, "shards", "wave-0", "shard-0.bloom"))
 
-    m2 = ck.run_with_checkpoint(
-        [f1, f2], ckpt_dir=ckpt, out_dir=out, wave_size=1, num_shards=2
-    )
+    m2, _ = ck.run_flagship_checkpointed([f1, f2], **run)
     assert m2["metrics"]["TURNS_MARKED_DUPLICATE"] == 1
     wave1 = pq.read_table(os.path.join(out, "wave-1")).to_pandas()
     dup_rows = wave1[wave1["is_duplicate"]]
