@@ -20,29 +20,32 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: derive the transcripts
     table from events+documents, mark duplicate turns via the sharded
     partitioned Bloom filter, and return the marked Dataset
-    (conv_id, turn_idx, role, text, tool, ts, is_duplicate)."""
+    (conv_id, turn_idx, role, text, tool, ts, is_duplicate). The marked
+    Dataset is materialized, so the shard actors are killed before it is
+    returned."""
     from streammd_ray.pipelines.mark_duplicates import mark_duplicates
     from streammd_ray.sources.transcripts import derive_transcripts
 
     ds = derive_transcripts("/root/testdata/sf0.001")
     res = mark_duplicates(ds, p=1e-9, num_shards=4, materialize=True)
+    res.release()
     return res.marked
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2 plus the
-    training-data-pipeline operators (dedup family, sketches, text analysis,
-    similarity/ANN, multimodal plumbing, relational aggregates)."""
+    """The engine's catalog: the derived transcripts table (plain and
+    sorted), the dedup family, and for each of HLL, count-min, t-digest and
+    KLL its estimate, its accuracy row and its exact twin."""
     from streammd_ray.pipelines.queries import QUERIES
 
     return dict(QUERIES)
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB oracles for every exactly-reproducible query (sketch-estimate
-    queries intentionally omitted → driver's rows-only check; each has an
-    oracle-checked exact twin, and sketch accuracy is covered by the pytest
-    error-bound suite in tests/)."""
+    """DuckDB oracles for every exactly-reproducible query. The four sketch
+    estimates have none (the driver's rows-only check); each has an
+    oracle-checked exact twin and an oracle-checked ``*_accuracy`` row that
+    gates the estimate on its published bound."""
     from streammd_ray.pipelines.queries import ORACLES
 
     return dict(ORACLES)

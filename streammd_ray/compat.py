@@ -1,6 +1,21 @@
 """Containments for Ray 2.49 defects, applied once at package import.
 
-The one patched today: ``Dataset.join``'s hash-shuffle aggregation builds
+Two are patched.
+
+Hash-shuffle reservations. Every hash-shuffling operator (joins, hash
+aggregates, hash repartitions) starts a pool of ``HashShuffleAggregator``
+actors whose default remote args reserve up to half the cluster's CPUs
+(``min(1, CPU/2/partitions)`` each) plus an estimated heap ``memory`` that
+grows with the partition count. Two live pools can then hold every CPU or
+nearly all of the node's ``memory`` resource, and the shuffle tasks feeding
+them (``{CPU: 1, memory: 2 GiB}`` when block sizes are unknown) can never be
+scheduled: a silent hang with idle aggregators. ``_capped_aggregator_args``
+caps each pool's total ``num_cpus`` and ``memory`` at 1/8 of
+``ray.cluster_resources()``, per operator at plan time from that operator's
+own ``num_aggregators``. Aggregators may still use idle cores; only their
+reservation shrinks.
+
+Empty join partitions. ``Dataset.join``'s hash-shuffle aggregation builds
 each partition side with ``ArrowBlockBuilder`` and a partition that received
 NO row shards on one side builds a ZERO-COLUMN empty table, which acero then
 rejects with "No match or multiple matches for key field reference <key>".
@@ -29,9 +44,34 @@ module, as they already do for every actor-pool stage class).
 from __future__ import annotations
 
 import pyarrow as pa
+from ray.data._internal.execution.operators import hash_shuffle as _ray_shuffle
 from ray.data._internal.execution.operators import join as _ray_join
 
 _ORIGINAL_JOIN_AGG = _ray_join.JoiningShuffleAggregation
+_ORIGINAL_AGGREGATOR_ARGS = (
+    _ray_shuffle.HashShufflingOperatorBase._get_default_aggregator_ray_remote_args
+)
+
+# share of the cluster's CPU and memory one aggregator pool may reserve
+AGGREGATOR_POOL_SHARE = 1 / 8
+
+
+def _capped_aggregator_args(self, *, num_partitions, num_aggregators, **kwargs):
+    """Ray's default aggregator remote args, with the pool's total
+    ``num_cpus`` and ``memory`` reservation capped at
+    ``AGGREGATOR_POOL_SHARE`` of the cluster."""
+    import ray
+
+    args = _ORIGINAL_AGGREGATOR_ARGS(
+        self, num_partitions=num_partitions, num_aggregators=num_aggregators, **kwargs
+    )
+    total = ray.cluster_resources()
+    per = AGGREGATOR_POOL_SHARE / num_aggregators
+    if "CPU" in total:
+        args["num_cpus"] = min(args["num_cpus"], total["CPU"] * per)
+    if "memory" in total:
+        args["memory"] = min(args["memory"], int(total["memory"] * per))
+    return args
 
 
 class SchemaSafeJoinAggregation(_ORIGINAL_JOIN_AGG):
@@ -116,3 +156,5 @@ def apply_ray_patches() -> None:
     """Idempotent; called from the package __init__."""
     if _ray_join.JoiningShuffleAggregation is not SchemaSafeJoinAggregation:
         _ray_join.JoiningShuffleAggregation = SchemaSafeJoinAggregation
+    base = _ray_shuffle.HashShufflingOperatorBase
+    base._get_default_aggregator_ray_remote_args = _capped_aggregator_args

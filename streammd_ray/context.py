@@ -54,34 +54,7 @@ def auto_num_partitions(
     n = int(cluster_cpus() * per_cpu)
     if bytes_hint is not None:
         n = max(n, int(bytes_hint // TARGET_PARTITION_BYTES) + 1)
-    n = max(floor, min(cap, n))
-    _ensure_join_cpu_override(n)
-    return n
-
-
-def _ensure_join_cpu_override(num_partitions: int) -> None:
-    """Bound the CPU a hash-join's aggregator-actor pool may RESERVE.
-
-    Ray 2.49 sizes each join aggregator at ``min(1, (CPU/2)/partitions)`` —
-    i.e. ONE pool reserves half the cluster. A DAG with two or more
-    concurrently-executing joins (ngram_jaccard verify: candidate and text
-    joins for both pair sides) can then reserve EVERY core for aggregators,
-    starving the map tasks that feed them — a hard deadlock, reproduced
-    deterministically on a fresh 4-CPU session (the pytest fixture size;
-    32 idle HashShuffleAggregator actors, zero progress). Cap the
-    per-partition reservation so a pool takes ~cpus/8 total, leaving ≥75%
-    of the cluster for map tasks even with two pools live. Aggregators can
-    still USE idle cores — the override only shrinks their reservation."""
-    try:
-        from ray.data.context import DataContext
-
-        ctx = DataContext.get_current()
-        per = min(1.0, (cluster_cpus() / 8.0) / max(1, num_partitions))
-        cur = ctx.join_operator_actor_num_cpus_per_partition_override
-        if cur is None or per < cur:
-            ctx.join_operator_actor_num_cpus_per_partition_override = per
-    except Exception:
-        pass  # older/newer Ray without the knob: keep defaults
+    return max(floor, min(cap, n))
 
 
 def drop_empty_blocks(ds, empty_schema=None):

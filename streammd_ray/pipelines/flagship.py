@@ -6,8 +6,8 @@ AND accumulates the four estimate sketches AND the run counters.
          → SketchTail (per-batch sketch partials + counters)
          → driver tree-merge
 
-``bench.py`` calls this; a production job would call it with
-``output_dir=...`` to also persist the marked table in the same pass.
+``perfbench`` and the checkpointed runner call this; a production job
+passes ``output_dir=...`` to also persist the marked table in the same pass.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class SketchTail:
         # side's CPU hog (3.56 s per 2M-row block, ~90% of the 512M-turn
         # job's map CPU) and its inputs are low-cardinality (tool ~51
         # distinct, __len ~66, conv_id ~30k per block) — value_counts is
-        # ~0.01-0.03 s, after which CMS/SpaceSaving insert with counts,
+        # ~0.01-0.03 s, after which CMS inserts with counts,
         # t-digest with weights, and HLL (multiplicity-insensitive) takes
         # the distinct values alone. Sketches without a weighted path (KLL)
         # fall back to the raw column; CMS/HLL states are bit-identical to

@@ -15,7 +15,6 @@ from .bloom import (
 from .cms import CountMinSketch
 from .hll import HyperLogLog
 from .kll import KLL
-from .spacesaving import SpaceSaving
 from .tdigest import TDigest
 
 __all__ = [
@@ -31,6 +30,5 @@ __all__ = [
     "CountMinSketch",
     "HyperLogLog",
     "KLL",
-    "SpaceSaving",
     "TDigest",
 ]

@@ -345,6 +345,23 @@ class BloomFilter(Sketch):
 #: single 512-bit block, so a probe costs ~1 DRAM line fetch instead of k.
 BLOCK_BITS = 512
 
+
+def _block_load_mixture(lam: float, local) -> float:
+    """E[local(i)] for a Poisson(lam) block load i, summed over lam ± 12σ.
+    The weights start from their log so an overfull filter (lam > ~745,
+    where e^-lam underflows) still reports its FPR instead of 0."""
+    if lam <= 0:
+        return local(0)
+    spread = 12.0 * math.sqrt(lam + 1.0) + 30.0
+    lo, hi = max(0, int(lam - spread)), int(lam + spread)
+    p_i = math.exp(-lam + lo * math.log(lam) - math.lgamma(lo + 1))
+    total = 0.0
+    for i in range(lo, hi):
+        total += p_i * local(i)
+        p_i *= lam / (i + 1)
+    return total
+
+
 _M64 = (1 << 64) - 1
 
 
@@ -457,14 +474,10 @@ class BlockedBloomFilter(BloomFilter):
         keys is a local (512, k) filter with i inserts, and loads are
         Poisson(n·512/m) across blocks (Putze et al. 2007, eq. 3)."""
         n = self.n_added if n_items is None else n_items
-        lam = n * BLOCK_BITS / self.m
-        hi = min(100_000, int(lam + 12.0 * math.sqrt(lam + 1.0) + 30.0))
-        total, p_i = 0.0, math.exp(-lam)
-        for i in range(hi):
-            local = (1.0 - math.exp(-self.k * i / BLOCK_BITS)) ** self.k
-            total += p_i * local
-            p_i *= lam / (i + 1)
-        return total
+        return _block_load_mixture(
+            n * BLOCK_BITS / self.m,
+            lambda i: (1.0 - math.exp(-self.k * i / BLOCK_BITS)) ** self.k,
+        )
 
     def _native_tas(self, nat, h1, h2, seen) -> None:
         nat.blocked_tas(
@@ -595,15 +608,10 @@ class SplitBlockBloomFilter(BloomFilter):
         fresh key positively with prob (1 − (1−1/64)^i)^8 (one bit per
         64-bit lane, lanes independent)."""
         n = self.n_added if n_items is None else n_items
-        lam = n * BLOCK_BITS / self.m
-        hi = min(100_000, int(lam + 12.0 * math.sqrt(lam + 1.0) + 30.0))
-        total, p_i = 0.0, math.exp(-lam)
         miss = 1.0 - 1.0 / 64.0
-        for i in range(hi):
-            local = (1.0 - miss**i) ** self.LANES
-            total += p_i * local
-            p_i *= lam / (i + 1)
-        return total
+        return _block_load_mixture(
+            n * BLOCK_BITS / self.m, lambda i: (1.0 - miss**i) ** self.LANES
+        )
 
     def _native_tas(self, nat, h1, h2, seen) -> None:
         nat.split_tas(
@@ -730,8 +738,8 @@ class ExactSetFilter(BloomFilter):
         h1, h2 = self._scalar_hashes(item)
         return bool(self.contains_hashed(h1, h2)[0])
 
-    def marginal_fpr(self) -> float:
-        return 0.0
+    def marginal_fpr(self, n_items: int | None = None) -> float:
+        return 0.0  # no false positives at any load
 
     def count_estimate(self) -> float:
         return float(self.n_added)  # exact, by construction

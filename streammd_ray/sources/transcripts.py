@@ -331,55 +331,3 @@ def generate_transcripts(
     if return_truth:
         return paths, table.append_column("is_duplicate", pa.array(truth))
     return paths
-
-
-def generate_transcripts_parallel(
-    out_dir: str,
-    *,
-    n_turns: int,
-    seed: int = 42,
-    dup_frac: float = 0.25,
-    n_shards: int = 32,
-    **gen_kwargs,
-):
-    """Large-scale deterministic generation: ``n_shards`` Ray tasks each run
-    :func:`generate_transcripts` for its slice (seed = base+shard, conv ids
-    disambiguated by a shard prefix). Output identical for a given
-    (n_turns, seed, n_shards) regardless of task scheduling."""
-    import os as _os
-
-    import pyarrow.parquet as _pq
-    import ray
-
-    per = n_turns // n_shards
-
-    @ray.remote(num_cpus=1)
-    def gen_shard(shard: int) -> str:
-        import tempfile
-
-        tmp = tempfile.mkdtemp(prefix=f"gen{shard}-", dir="/tmp")
-        generate_transcripts(
-            tmp,
-            n_turns=per,
-            seed=seed + shard,
-            dup_frac=dup_frac,
-            n_files=1,
-            **gen_kwargs,
-        )
-        src = _os.path.join(tmp, "part-00000.parquet")
-        t = _pq.read_table(src)
-        import pyarrow.compute as _pc
-
-        conv = _pc.binary_join_element_wise(
-            pa.array([f"s{shard:03d}-"] * len(t), pa.string()),
-            t["conv_id"].combine_chunks(),
-            "",
-        )
-        t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id", conv)
-        dst = _os.path.join(out_dir, f"part-{shard:05d}.parquet")
-        _pq.write_table(t, dst)
-        _os.remove(src)
-        return dst
-
-    _os.makedirs(out_dir, exist_ok=True)
-    return sorted(ray.get([gen_shard.remote(i) for i in range(n_shards)]))

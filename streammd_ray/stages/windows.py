@@ -1,5 +1,5 @@
-"""Partition-vectorized per-key ordered-scan operators (sessionization,
-as-of carry-forward, rolling windows, per-key diffs).
+"""Partition-vectorized per-key group operations (behind exact dedup,
+conversation validation, the transcripts derivation and per-key diffs).
 
 ``groupby(key).map_groups(fn)`` invokes a Python/pandas UDF once per GROUP.
 For transcript/event logs the groups are tiny (a conversation is ~10 turns),
@@ -53,62 +53,6 @@ def partitioned_group_apply(
     )
 
 
-def sessionize_partition(gap_us: int):
-    """Per-user gap sessionization over a whole partition: one sort + one
-    cython groupby-cumsum; no per-user Python."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        ts = df["ts"].astype("int64")
-        user = df["user_id"]
-        new = (user != user.shift()) | ((ts - ts.shift()) > gap_us)
-        df["session_id"] = new.astype(np.int64).groupby(user.values, sort=False).cumsum()
-        return df[["event_id", "user_id", "session_id"]]
-
-    return fn
-
-
-def asof_carry_forward_partition(mark_col: str, mark_value, ts_col: str = "ts"):
-    """Per-key as-of carry-forward (merge_asof semantics) over a partition:
-    sentinel + cython groupby-cummax."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", ts_col, "event_id"], kind="stable")
-        ts64 = df[ts_col].astype("int64").to_numpy()
-        sv = np.where(
-            df[mark_col].to_numpy() == mark_value, ts64, np.iinfo(np.int64).min
-        )
-        carried = (
-            pd.Series(sv)
-            .groupby(df["user_id"].values, sort=False)
-            .cummax()
-            .to_numpy()
-        )
-        df["last_signup_ts"] = carried.view("datetime64[us]")
-        return df[["event_id", "user_id", "last_signup_ts"]]
-
-    return fn
-
-
-def rolling_mean_partition(window: int):
-    """Per-conversation rolling mean of text length over a partition: one
-    cython groupby-rolling."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
-        ln = df["text"].str.len().astype("float64")
-        rolled = (
-            ln.groupby(df["conv_id"].values, sort=False)
-            .rolling(window, min_periods=1)
-            .mean()
-            .to_numpy()
-        )
-        df["rolling_mean_len"] = np.round(rolled, 4)
-        return df[["conv_id", "turn_idx", "rolling_mean_len"]]
-
-    return fn
-
-
 def per_key_diff_partition(ts_col: str = "ts", out_col: str = "dt_us"):
     """Per-conversation consecutive timestamp deltas over a partition: one
     cython groupby-diff (first row of each key dropped, matching lag())."""
@@ -125,87 +69,3 @@ def per_key_diff_partition(ts_col: str = "ts", out_col: str = "dt_us"):
         return pd.DataFrame({out_col: dt.astype(np.int64).to_numpy()})
 
     return fn
-
-
-def top_k_per_group(
-    ds,
-    group_cols,
-    order_col: str,
-    *,
-    k: int,
-    descending: bool = True,
-    tie_cols=(),
-    num_partitions: int = 64,
-):
-    """Keep the k best rows of every group — the 'best-k documents per
-    domain / per source' curation primitive (a grouped LIMIT, which Ray
-    Data's sort().limit() cannot express per-group).
-
-    One hash shuffle on the first group column, then ONE vectorized
-    sort + cython ``groupby(...).head(k)`` per partition — no per-group
-    Python. ``tie_cols`` break order ties deterministically (ascending),
-    making the result reproducible under any partition layout; callers
-    should include a unique id there whenever ``order_col`` can repeat.
-    """
-    import pandas as pd
-
-    gcols = list(group_cols)
-    tcols = list(tie_cols)
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            gcols + [order_col] + tcols,
-            ascending=[True] * len(gcols) + [not descending] + [True] * len(tcols),
-            kind="stable",
-        )
-        return df.groupby(gcols, sort=False).head(k)
-
-    return partitioned_group_apply(ds, gcols[0], fn, num_partitions=num_partitions)
-
-
-def grouped_quantiles(
-    ds,
-    group_cols,
-    value_col: str,
-    qs=(0.5, 0.9, 0.99),
-    names=("p50", "p90", "p99"),
-    *,
-    num_partitions: int = 64,
-):
-    """EXACT per-group ``quantile_disc`` (DuckDB rank rule: the value at
-    sorted position ceil(q·n)−1 within each group, nulls dropped) — the
-    grouped companion of stages/quantiles.exact_quantile_select, for the
-    common per-domain / per-source distribution reports.
-
-    One hash shuffle on the first group column, then ONE vectorized pass
-    per partition: sort by (group, value), group boundaries via flatnonzero,
-    every requested quantile taken by pure index arithmetic across ALL
-    groups at once. Unlike the global operator (histogram refinement, no
-    shuffle), a group's values must co-locate — the shuffle is inherent;
-    each group's data only needs to fit its partition, not the driver.
-    Groups whose values are all null are omitted (callers needing SQL's
-    NULL-row semantics can left-join the group list back).
-    """
-    import pandas as pd
-
-    gcols = list(group_cols)
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.dropna(subset=[value_col])
-        if df.empty:
-            out = pd.DataFrame({c: df[c] for c in gcols})
-            for name in names:
-                out[name] = pd.Series(dtype=df[value_col].dtype)
-            return out
-        df = df.sort_values(gcols + [value_col], kind="stable")
-        v = df[value_col].to_numpy()
-        gid = df.groupby(gcols, sort=False).ngroup().to_numpy()
-        starts = np.flatnonzero(np.r_[True, gid[1:] != gid[:-1]])
-        counts = np.diff(np.r_[starts, len(gid)])
-        out = df.iloc[starts][gcols].reset_index(drop=True)
-        for q, name in zip(qs, names):
-            pos = starts + np.maximum(0, np.ceil(q * counts).astype(np.int64) - 1)
-            out[name] = v[pos]
-        return out
-
-    return partitioned_group_apply(ds, gcols[0], fn, num_partitions=num_partitions)

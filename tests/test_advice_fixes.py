@@ -229,59 +229,6 @@ def test_quantiles_int64_exact_above_2_53(ray_session):
     assert got == [base + 500]  # exact int, not a float-rounded neighbor
 
 
-def test_embedding_ops_survive_empty_blocks(ray_session):
-    """Blocks emptied by an upstream filter must not crash np.stack in the
-    vector-prep stages."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.similarity import (
-        embedding_lsh_near_dup_pairs,
-        embedding_near_dup_pairs,
-    )
-
-    rng = np.random.default_rng(3)
-    emb = rng.standard_normal((40, 8))
-    emb[1] = emb[0]  # one exact dup pair
-    t = pa.table(
-        {
-            "vec_id": pa.array(np.arange(40), pa.int64()),
-            "embedding": pa.array(list(emb), pa.list_(pa.float64())),
-        }
-    )
-    # filter leaves some partitions empty
-    ds = rd.from_arrow(t).repartition(8).filter(lambda r: r["vec_id"] < 5)
-    exact = embedding_near_dup_pairs(ds, threshold=0.99).to_pandas()
-    assert {(0, 1)} == set(zip(exact.id_a, exact.id_b))
-    approx = embedding_lsh_near_dup_pairs(ds, threshold=0.99).to_pandas()
-    assert (0, 1) in set(zip(approx.id_a, approx.id_b))
-
-
-def test_sampling_sql_parity_negative_keys(ray_session):
-    """Ray and DuckDB must select the SAME rows for negative int64 keys
-    (numpy wraps them mod 2^64; the SQL predicate must normalize too)."""
-    import duckdb
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.sampling import sample_sql_predicate, sample_uniform
-
-    keys = np.array(
-        [-1, -2, -(2**62), -12345678901234, 0, 1, 2**62, 77], dtype=np.int64
-    )
-    t = pa.table({"k": keys})
-    got = sorted(
-        sample_uniform(rd.from_arrow(t), rate=0.5, key_col="k", seed=9)
-        .to_pandas()["k"]
-        .tolist()
-    )
-    pred = sample_sql_predicate(0.5, "k", seed=9)
-    want = sorted(
-        duckdb.sql(f"SELECT k FROM t WHERE {pred} ORDER BY k").df()["k"].tolist()
-    )
-    assert got == want and len(want) > 0
-
-
 def test_key_spec_passthrough_mismatch_raises(ray_session):
     """Pre-hashed key columns + a different requested spec must raise, not
     silently dedup on the wrong key (round-3 advice #2)."""

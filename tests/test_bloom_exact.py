@@ -25,6 +25,30 @@ def test_exact_set_add_contains_semantics():
     assert f.count_estimate() == 4.0  # exact, not an estimate
 
 
+@pytest.mark.parametrize("layout", ["classic", "blocked", "split", "exact"])
+def test_marginal_fpr_takes_n_items(layout):
+    """Every layout answers marginal_fpr(n_items) for a load other than its
+    own; only the exact set stays at zero under load."""
+    from streammd_ray.sketches.bloom import (
+        BlockedBloomFilter,
+        BloomFilter,
+        ExactSetFilter,
+        SplitBlockBloomFilter,
+    )
+
+    cls = {
+        "classic": BloomFilter,
+        "blocked": BlockedBloomFilter,
+        "split": SplitBlockBloomFilter,
+        "exact": ExactSetFilter,
+    }[layout]
+    f = cls(1e-6, 10_000)
+    assert f.marginal_fpr(n_items=0) == 0.0
+    loaded = f.marginal_fpr(n_items=10**6)
+    assert loaded == 0.0 if layout == "exact" else loaded > 1e-3
+    assert f.marginal_fpr() == 0.0  # nothing inserted yet
+
+
 def test_exact_set_never_false_positive_bulk():
     """10^5 random inserts, 10^5 disjoint probes: zero false positives —
     the property no probabilistic layout can offer."""

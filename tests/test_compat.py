@@ -1,7 +1,8 @@
 """Ray 2.49 containment regressions (streammd_ray/compat.py): joins must
 survive hash partitions that receive no rows on one side (the zero-column
 ArrowBlockBuilder.build defect — acero otherwise fails with "No match ...
-for key field reference")."""
+for key field reference"), and chained hash shuffles must not reserve the
+CPU or memory their own shuffle tasks need."""
 
 import numpy as np
 import pyarrow as pa
@@ -83,8 +84,16 @@ def test_join_one_side_entirely_empty(ray_session):
 
 
 def test_patch_is_applied():
+    from ray.data._internal.execution.operators import hash_shuffle as ray_shuffle
     from ray.data._internal.execution.operators import join as ray_join
 
-    from streammd_ray.compat import SchemaSafeJoinAggregation
+    from streammd_ray.compat import (
+        SchemaSafeJoinAggregation,
+        _capped_aggregator_args,
+    )
 
     assert ray_join.JoiningShuffleAggregation is SchemaSafeJoinAggregation
+    assert (
+        ray_shuffle.HashShufflingOperatorBase._get_default_aggregator_ray_remote_args
+        is _capped_aggregator_args
+    )

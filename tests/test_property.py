@@ -137,34 +137,3 @@ def test_exact_quantile_select_property(ray_session, vals, q):
     s = np.sort(v)
     want = float(s[max(0, math.ceil(q * len(s)) - 1)])
     assert got == want
-
-
-@given(
-    n=st.integers(min_value=1, max_value=2000),
-    rate=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=25, deadline=None)
-def test_sampling_partition_invariance_property(ray_session, n, rate, seed):
-    """The sampled row SET is a pure function of (keys, rate, seed) — never
-    of the physical partition layout."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.sampling import sample_uniform
-
-    t = pa.table({"doc_id": np.arange(n, dtype=np.int64)})
-    a = sample_uniform(
-        rd.from_arrow(t), rate=rate, key_col="doc_id", seed=seed
-    ).to_pandas()
-    b = sample_uniform(
-        rd.from_arrow(t).repartition(4), rate=rate, key_col="doc_id", seed=seed
-    ).to_pandas()
-    # Ray drops the schema through to_pandas on a fully-empty result
-    ka = sorted(a["doc_id"]) if len(a) else []
-    kb = sorted(b["doc_id"]) if len(b) else []
-    assert ka == kb
-    if rate == 0.0:
-        assert len(a) == 0
-    if rate == 1.0:
-        assert len(a) == n

@@ -1,10 +1,7 @@
-"""Pin the QUERIES catalog ordering contract.
+"""Pin the QUERIES catalog contract.
 
 The correctness driver records rows for only the FIRST 50 entries of
-``QUERIES`` (observed in round 3: 12 oracle-checked queries appended after
-newer additions silently lost their driver rows — VERDICT r3 "What's
-missing" #1).  These tests make the contract executable: every oracle-backed
-query except the documented redundant one must sit within the first 50
+``QUERIES``, so every oracle-backed query must sit within the first 50
 slots, and every oracle key must name a registered query.
 """
 
@@ -12,69 +9,14 @@ from streammd_ray.pipelines.queries import ORACLES, QUERIES
 
 DRIVER_CAP = 50
 
-# Oracle-backed queries deliberately placed past the driver cap.  Each needs
-# a justification here; adding to this set should be a conscious decision.
-# Every entry must map to an in-cap query that exercises at least the same
-# computation (so nothing computed here goes driver-unrecorded), in one of
-# two forms: a strict PROJECTION of a consolidated row (the three
-# exact-quantile metrics fold into `quantiles_exact`, the three text
-# functions into `text_analysis`, the two compressed-codec legs into
-# `media_decode_compressed`), or a KERNEL SUBSET (`sample_documents` is
-# single-stratum uniform sampling — the identical seeded hash-threshold
-# kernel in stages/sampling.py that `sample_stratified` drives per-group,
-# displaced in round 5 to give the new `semdedup` operator family a
-# driver-recorded slot).  A third category, PLUMBING TWIN, covers
-# `media_decode_bmp`: its MediaDecodeStage plumbing (actor pool, registry,
-# schema) is identically driven in-cap by `media_ppm_stats` /
-# `media_wav_stats` / `media_decode_compressed`, and only the BMP container
-# parse is unique — displaced in round 5 to give the new `redact_pii`
-# operator a driver-recorded slot.  All stay oracle-checked per-run in
-# pytest (tests/test_entry_oracle.py).
-ALLOWED_PAST_CAP = {
-    "turn_length_quantiles_exact": "quantiles_exact",
-    "latency_quantiles_exact": "quantiles_exact",
-    "event_value_quantiles": "quantiles_exact",
-    "text_stats": "text_analysis",
-    "lang_id": "text_analysis",
-    "fingerprint": "text_analysis",
-    "media_decode_png": "media_decode_compressed",
-    "media_gif_frames": "media_decode_compressed",
-    "sample_documents": "sample_stratified",
-    "media_decode_bmp": "media_decode_compressed",
-}
-
-
-def test_past_cap_queries_have_consolidated_driver_row():
-    checked = set(list(QUERIES)[:DRIVER_CAP])
-    for twin, consolidated in ALLOWED_PAST_CAP.items():
-        assert consolidated in checked and consolidated in ORACLES, (
-            f"{twin} is past the cap but its consolidated row "
-            f"{consolidated} is not a driver-recorded oracle query"
-        )
-
 
 def test_every_oracle_query_within_driver_cap():
     checked = set(list(QUERIES)[:DRIVER_CAP])
-    displaced = [
-        k for k in ORACLES if k not in checked and k not in ALLOWED_PAST_CAP
-    ]
+    displaced = [k for k in ORACLES if k not in checked]
     assert not displaced, (
         f"oracle-backed queries pushed past the driver's {DRIVER_CAP}-entry "
         f"cap (no CORRECTNESS row will be recorded for them): {displaced}"
     )
-
-
-def test_first_slots_are_all_oracle_backed():
-    # the checked slots should never be wasted on a no-oracle query while
-    # an oracle-backed one sits past the cap
-    first = list(QUERIES)[:DRIVER_CAP]
-    no_oracle_in_cap = [k for k in first if k not in ORACLES]
-    displaced_oracles = [
-        k
-        for k in list(QUERIES)[DRIVER_CAP:]
-        if k in ORACLES and k not in ALLOWED_PAST_CAP
-    ]
-    assert not (no_oracle_in_cap and displaced_oracles)
 
 
 def test_oracle_keys_subset_of_queries():

@@ -111,34 +111,6 @@ def test_udaf_grouped(ray_session, table):
         assert abs(out[role] - true_n) / true_n < 0.05, role
 
 
-def test_salted_groupby_matches_direct(ray_session, table):
-    from ray.data.aggregate import Count, Sum
-
-    from streammd_ray.stages.skew import salted_groupby
-
-    ds = rd.from_arrow(pa.Table.from_pandas(table, preserve_index=False)).repartition(6)
-    salted = (
-        salted_groupby(
-            ds,
-            "role",
-            {"n": ("count", None), "total_len": ("sum", "text_len")},
-            salt_buckets=8,
-        )
-        .to_pandas()
-        .set_index("role")
-        .sort_index()
-    )
-    direct = (
-        ds.groupby("role")
-        .aggregate(Count(alias_name="n"), Sum("text_len", alias_name="total_len"))
-        .to_pandas()
-        .set_index("role")
-        .sort_index()
-    )
-    assert salted["n"].tolist() == direct["n"].tolist()
-    assert np.allclose(salted["total_len"], direct["total_len"])
-
-
 def test_bloom_count_agg(ray_session, table):
     from streammd_ray.stages import BloomCountAgg
 

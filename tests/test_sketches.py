@@ -263,87 +263,3 @@ def test_tdigest_cdf():
     assert abs(td.cdf(5_000.0) - 0.5) < 0.01
     assert td.cdf(-1.0) == 0.0
     assert td.cdf(10_001.0) == 1.0
-
-
-# ---------------- SpaceSaving ----------------
-
-
-def test_spacesaving_brackets_truth_and_bound():
-    from streammd_ray.sketches.spacesaving import SpaceSaving
-
-    stream = _zipf_stream(200_000)
-    ss = SpaceSaving(k=64)
-    for chunk in np.array_split(stream, 16):
-        ss.insert_batch(chunk)
-    keys, true_counts = np.unique(stream, return_counts=True)
-    truth = dict(zip(keys.tolist(), true_counts.tolist()))
-    assert ss.total == len(stream)
-    for key, c, e in ss.top_k():
-        t = truth[key]
-        assert c - e <= t <= c, (key, c, e, t)
-        assert e <= ss.total / ss.k
-
-
-def test_spacesaving_guarantees_frequent_keys():
-    """Every key with true frequency > N/k must be tracked (ICDT'05 Thm 2)."""
-    from streammd_ray.sketches.spacesaving import SpaceSaving
-
-    stream = _zipf_stream(100_000)
-    ss = SpaceSaving(k=32)
-    ss.insert_batch(stream)
-    keys, true_counts = np.unique(stream, return_counts=True)
-    tracked = {key for key, _, _ in ss.top_k()}
-    floor = len(stream) / ss.k
-    for key, t in zip(keys.tolist(), true_counts.tolist()):
-        if t > floor:
-            assert key in tracked, (key, t, floor)
-
-
-def test_spacesaving_merge_preserves_bounds_any_order():
-    from streammd_ray.sketches.base import merge_all
-    from streammd_ray.sketches.spacesaving import SpaceSaving
-
-    stream = _zipf_stream(120_000)
-    chunks = np.array_split(stream, 5)
-    parts = []
-    for c in chunks:
-        s = SpaceSaving(k=64)
-        s.insert_batch(c)
-        parts.append(s.to_bytes())
-    keys, true_counts = np.unique(stream, return_counts=True)
-    truth = dict(zip(keys.tolist(), true_counts.tolist()))
-    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [1, 3, 0, 4, 2]):
-        acc = merge_all([SpaceSaving.from_bytes(parts[i]) for i in order])
-        assert acc.total == len(stream)
-        for key, c, e in acc.top_k():
-            assert c - e <= truth.get(key, 0) <= c, (order, key)
-        # merged error still within the summed bound N/k
-        assert all(e <= acc.total / acc.k for _, _, e in acc.top_k())
-        # the true top-3 keys survive any merge order
-        true_top3 = set(keys[np.argsort(-true_counts)][:3].tolist())
-        assert true_top3 <= {key for key, _, _ in acc.top_k()}
-
-
-def test_spacesaving_skips_nulls_and_preaggregated():
-    import pyarrow as pa
-
-    from streammd_ray.sketches.spacesaving import SpaceSaving
-
-    ss = SpaceSaving(k=4)
-    ss.insert_batch(pa.array(["a", None, "a", "b", None]))
-    assert ss.total == 3
-    ss2 = SpaceSaving(k=4)
-    ss2.insert_batch(pa.array(["a", "b", None]), counts=np.array([2, 1, 7]))
-    assert ss2.total == 3
-    assert dict((k, c) for k, c, _ in ss2.top_k()) == {"a": 2, "b": 1}
-
-
-def test_spacesaving_incompatible_merge_rejected():
-    import pytest as _pytest
-
-    from streammd_ray.sketches.base import SketchError
-    from streammd_ray.sketches.spacesaving import SpaceSaving
-
-    a, b = SpaceSaving(k=8), SpaceSaving(k=16)
-    with _pytest.raises(SketchError):
-        a.merge(b)

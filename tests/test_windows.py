@@ -1,5 +1,5 @@
 """Partition-vectorized window operators: key co-location invariant and
-equivalence with the per-group reference implementations."""
+equivalence with the per-group reference implementation."""
 
 import numpy as np
 import pandas as pd
@@ -9,8 +9,6 @@ import ray.data as rd
 from streammd_ray.stages.windows import (
     partitioned_group_apply,
     per_key_diff_partition,
-    rolling_mean_partition,
-    sessionize_partition,
 )
 
 
@@ -46,29 +44,6 @@ def test_partition_apply_sees_whole_keys(ray_session):
     assert got.sort_index().equals(want.sort_index().astype(got.dtype))
 
 
-def test_sessionize_partition_matches_reference(ray_session):
-    gap_us = 3600 * 1_000_000
-    t = _events()
-    got = (
-        partitioned_group_apply(
-            rd.from_arrow(t), "user_id", sessionize_partition(gap_us), num_partitions=8
-        )
-        .to_pandas()
-        .set_index("event_id")["session_id"]
-    )
-    # per-user python reference
-    df = t.to_pandas()
-    ref = {}
-    for uid, g in df.groupby("user_id"):
-        g = g.sort_values(["ts", "event_id"])
-        ts = g["ts"].astype("int64").to_numpy()
-        new = np.ones(len(g), dtype=np.int64)
-        new[1:] = (np.diff(ts) > gap_us).astype(np.int64)
-        for eid, sid in zip(g["event_id"], np.cumsum(new)):
-            ref[eid] = sid
-    assert got.to_dict() == ref
-
-
 def test_per_key_diff_partition_matches_reference(ray_session):
     t = pa.table(
         {
@@ -84,139 +59,3 @@ def test_per_key_diff_partition_matches_reference(ray_session):
         num_partitions=4,
     ).to_pandas()
     assert sorted(out["dt_us"]) == [1, 4, 5]
-
-
-def test_rolling_mean_partition_alignment(ray_session):
-    df = pd.DataFrame(
-        {
-            "conv_id": ["a", "a", "a", "b", "b"],
-            "turn_idx": [0, 1, 2, 0, 1],
-            "text": ["x", "xxx", "xxxxx", "yy", "yyyy"],
-        }
-    )
-    out = (
-        partitioned_group_apply(
-            rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)),
-            "conv_id",
-            rolling_mean_partition(3),
-            num_partitions=2,
-        )
-        .to_pandas()
-        .set_index(["conv_id", "turn_idx"])["rolling_mean_len"]
-    )
-    assert out.loc[("a", 0)] == 1.0
-    assert out.loc[("a", 1)] == 2.0
-    assert out.loc[("a", 2)] == 3.0
-    assert out.loc[("b", 1)] == 3.0
-
-
-def test_top_k_per_group_matches_duckdb(ray_session):
-    """Grouped LIMIT vs the window-function oracle at two scale factors —
-    the per-query catalog entry (top_docs_per_source) points here for its
-    exact check (it is registered without an ORACLES slot)."""
-    import duckdb
-
-    from streammd_ray.pipelines.queries import q_top_docs_per_source
-
-    for sf in ("/root/testdata/sf0.001", "/root/testdata/sf0.01"):
-        got = q_top_docs_per_source(sf)
-        con = duckdb.connect()
-        want = con.execute(
-            f"""SELECT doc_id, source, n_chars
-FROM read_parquet('{sf}/documents.parquet')
-QUALIFY row_number() OVER (PARTITION BY source ORDER BY n_chars DESC, doc_id) <= 3
-ORDER BY source, doc_id"""
-        ).fetchdf()
-        cols = sorted(got.columns)
-        assert cols == sorted(want.columns)
-        a = got[cols].reset_index(drop=True)
-        b = want[cols].sort_values(["source", "doc_id"]).reset_index(drop=True)
-        assert a.astype(str).equals(b.astype(str)), sf
-
-
-def test_top_k_per_group_multigroup_and_ascending(ray_session):
-    """Multi-column groups + ascending order + k larger than some groups."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.windows import top_k_per_group
-
-    rng = np.random.default_rng(8)
-    n = 500
-    df = pd.DataFrame(
-        {
-            "g1": rng.integers(0, 7, n),
-            "g2": rng.integers(0, 3, n),
-            "v": rng.integers(0, 50, n),
-            "id": np.arange(n),
-        }
-    )
-    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    out = (
-        top_k_per_group(ds, ["g1", "g2"], "v", k=4, descending=False, tie_cols=["id"])
-        .to_pandas()
-        .sort_values(["g1", "g2", "v", "id"])
-        .reset_index(drop=True)
-    )
-    want = (
-        df.sort_values(["g1", "g2", "v", "id"], kind="stable")
-        .groupby(["g1", "g2"], sort=False)
-        .head(4)
-        .sort_values(["g1", "g2", "v", "id"])
-        .reset_index(drop=True)
-    )
-    assert out.astype(str).equals(want.astype(str))
-
-
-def test_grouped_quantiles_matches_duckdb(ray_session):
-    """Exact per-group quantile_disc vs DuckDB at two scale factors — the
-    catalog entry (source_length_quantiles) points here for its check."""
-    import duckdb
-
-    from streammd_ray.pipelines.queries import q_source_length_quantiles
-
-    for sf in ("/root/testdata/sf0.001", "/root/testdata/sf0.01"):
-        got = q_source_length_quantiles(sf)
-        want = duckdb.connect().execute(
-            f"""SELECT source,
-  quantile_disc(n_chars, 0.5) AS p50,
-  quantile_disc(n_chars, 0.9) AS p90,
-  quantile_disc(n_chars, 0.99) AS p99
-FROM read_parquet('{sf}/documents.parquet')
-GROUP BY source ORDER BY source"""
-        ).fetchdf()
-        assert got[sorted(got.columns)].astype(str).equals(
-            want.sort_values("source").reset_index(drop=True)[
-                sorted(want.columns)
-            ].astype(str)
-        ), sf
-
-
-def test_grouped_quantiles_nulls_and_dtypes(ray_session):
-    """Null values dropped per group; all-null groups omitted; exact rank
-    rule on tiny groups (n=1, n=2)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.windows import grouped_quantiles
-
-    df = pd.DataFrame(
-        {
-            "g": ["a", "a", "a", "b", "b", "c", "d"],
-            "v": [10.0, None, 30.0, 7.0, None, None, 5.0],
-        }
-    )
-    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    out = (
-        grouped_quantiles(ds, ["g"], "v", qs=(0.5, 1.0), names=("p50", "p100"))
-        .to_pandas()
-        .sort_values("g")
-        .reset_index(drop=True)
-    )
-    # group c is all-null -> omitted; a has values [10, 30]: p50 = value at
-    # ceil(0.5*2)-1 = idx 0 = 10; p100 = idx 1 = 30
-    assert out["g"].tolist() == ["a", "b", "d"]
-    assert out["p50"].tolist() == [10.0, 7.0, 5.0]
-    assert out["p100"].tolist() == [30.0, 7.0, 5.0]
