@@ -53,22 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--num-shards", type=int, default=8)
     ap.add_argument(
-        "--bloom-blocked",
-        action="store_true",
-        help="cache-line-blocked Bloom probe layout (shorthand for "
-        "--bloom-layout blocked)",
-    )
-    ap.add_argument(
         "--bloom-layout",
-        choices=("classic", "blocked", "split", "exact"),
+        choices=("classic", "split"),
         default=None,
         help="Bloom probe geometry: classic = reference double-hashing "
-        "(default); blocked = all k probes in one cache line; split = "
-        "one bit per 64-bit lane of the line (fastest kernel, structural "
-        "k=8); exact = a true 128-bit-key set, p=0 at ~16 bytes/key. "
-        "Non-classic probabilistic layouts trade a documented FPR model shift for "
-        "probe speed — the capacity report always shows the layout's "
-        "honest marginal FPR",
+        "(default); split = one bit per 64-bit lane of one cache line "
+        "(fastest kernel, structural k=8). split trades a documented FPR "
+        "model shift for probe speed — the capacity report always shows "
+        "the layout's honest marginal FPR",
     )
     ap.add_argument("--checkpoint-dir", default=None)
     ap.add_argument("--wave-size", type=int, default=8)
@@ -168,8 +160,7 @@ def main(argv=None) -> int:
                 num_shards=args.num_shards,
                 key_cols=key_cols,
                 scope=scope,
-                bloom_layout=args.bloom_layout
-                or ("blocked" if args.bloom_blocked else None),
+                bloom_layout=args.bloom_layout,
                 remove_duplicates=args.remove_duplicates,
                 allow_overcapacity=args.allow_overcapacity,
             )
@@ -189,7 +180,6 @@ def main(argv=None) -> int:
                 remove_duplicates=args.remove_duplicates,
                 strip_previous=args.strip_previous,
                 materialize=True,
-                bloom_blocked=args.bloom_blocked,
                 bloom_layout=args.bloom_layout,
             )
             # capacity check FIRST (marking already ran via materialize=True):

@@ -215,7 +215,6 @@ def run_flagship(
     p: float = 1e-6,
     mem: str | None = "256MiB",
     num_shards: int = 8,
-    mark_concurrency=8,
     batch_size: int | None = None,
     output_dir: str | None = None,
     seal: bool = True,
@@ -233,7 +232,6 @@ def run_flagship(
         p=p,
         mem=mem,
         num_shards=num_shards,
-        mark_concurrency=mark_concurrency,
         batch_size=batch_size,
         **mark_kwargs,
     )

@@ -30,8 +30,8 @@ from ..sketches.bloom import BloomFilter
 from ..stages.dedup import (
     KEY_H1,
     KEY_H2,
-    BloomMarkStage,
     add_key_columns,
+    make_mark_fn,
     make_shard_actors,
 )
 
@@ -99,8 +99,6 @@ def mark_duplicates(
     mem: str | None = None,
     total_capacity: int | None = None,
     num_shards: int = 8,
-    mark_concurrency: int = 8,
-    mark_mode: str = "tasks",
     batch_size: int | None = None,
     remove_duplicates: bool = False,
     strip_previous: bool = False,
@@ -108,7 +106,6 @@ def mark_duplicates(
     seeds: tuple[int, int] = (SEED_A, SEED_B),
     shards: list | None = None,
     materialize: bool = False,
-    bloom_blocked: bool = False,
     bloom_layout: str | None = None,
 ) -> MarkResult:
     """Mark duplicate turns with a partitioned Bloom filter.
@@ -152,10 +149,8 @@ def mark_duplicates(
             total_capacity=total_capacity,
             mem=mem,
             seeds=seeds,
-            # probe layout: classic / blocked / split (sketches/bloom.py) —
-            # same dedup semantics, different kernel shape; layout string
-            # wins, bloom_blocked kept for pre-layout callers
-            blocked=bloom_blocked,
+            # probe layout: classic (None) / split (sketches/bloom.py) —
+            # same dedup semantics, different kernel shape
             layout=bloom_layout,
         )
     else:
@@ -165,34 +160,15 @@ def mark_duplicates(
 
     keyed = add_key_columns(ds, key_cols, seeds=seeds)
     # The mark stage itself is stateless (all state lives in the shard
-    # actors). Default mark_mode='tasks' runs it as a plain function closing
-    # over the shard handles: Ray fuses read → derive → mark → finish into
-    # ONE task chain with no actor pool to spawn or budget CPUs for.
-    # mark_mode='actors' keeps the explicit pool (mark_concurrency as int or
-    # (min, max) tuple) for callers that want pinned, long-lived mark workers.
-    if mark_mode == "tasks":
-        from ..stages.dedup import make_mark_fn
-
-        marked = keyed.map_batches(
-            make_mark_fn(shards, mark_col=mark_col),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    else:
-        concurrency = (
-            mark_concurrency
-            if isinstance(mark_concurrency, tuple)
-            else (1, mark_concurrency)
-        )
-        marked = keyed.map_batches(
-            BloomMarkStage,
-            fn_constructor_kwargs={"shards": shards, "mark_col": mark_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    # actors), so it runs as a plain function closing over the shard
+    # handles: Ray fuses read → derive → mark → finish into ONE task chain
+    # with no actor pool to spawn or budget CPUs for.
+    marked = keyed.map_batches(
+        make_mark_fn(shards, mark_col=mark_col),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         new = t[mark_col].combine_chunks()

@@ -177,7 +177,7 @@ SELECT conv_id, turn_idx, role, text FROM (
 
 def q_dedup_bloom_metrics(sf_dir: str):
     """The flagship's metrics through the REAL sharded-Bloom path — once per
-    probe layout (classic and cache-line-blocked), so BOTH layouts carry a
+    probe layout (classic and split), so BOTH layouts carry a
     driver-recorded oracle row.
 
     p=1e-9 so the expected false-positive count at validation scale is ~1e-5
@@ -188,13 +188,13 @@ def q_dedup_bloom_metrics(sf_dir: str):
     from .mark_duplicates import compute_metrics, mark_duplicates
 
     rows = []
-    for layout, blocked in (("classic", False), ("blocked", True)):
+    for layout in ("classic", "split"):
         res = mark_duplicates(
             transcripts_ds(sf_dir),
             p=1e-9,
             num_shards=4,
             materialize=True,
-            bloom_blocked=blocked,
+            bloom_layout=layout,
         )
         m = compute_metrics(res.marked)
         res.release()
@@ -225,7 +225,7 @@ m AS (
 )
 SELECT 'classic' AS bloom_layout, * FROM m
 UNION ALL
-SELECT 'blocked' AS bloom_layout, * FROM m"""
+SELECT 'split' AS bloom_layout, * FROM m"""
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ tree-mergeable form."""
 
 from .base import Sketch, SketchError, merge_all
 from .bloom import (
-    BlockedBloomFilter,
     BloomFilter,
     SplitBlockBloomFilter,
     capacity,
@@ -21,7 +20,6 @@ __all__ = [
     "Sketch",
     "SketchError",
     "merge_all",
-    "BlockedBloomFilter",
     "BloomFilter",
     "SplitBlockBloomFilter",
     "capacity",

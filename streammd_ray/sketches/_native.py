@@ -4,15 +4,16 @@ The numpy probe kernels in ``bloom.py`` are vectorized but pay for it in
 memory traffic: a (n, k) uint64 index matrix plus word/bit/present
 temporaries is ~6 full-batch-sized arrays streamed through DRAM per batch,
 and the unbuffered ``np.bitwise_or.at`` scatter runs at a few M elements/s.
-Profiled on the 512M-turn scaling table, the gather itself (the part the
-cache-line-blocked layout optimizes) was 0.23 s per 2M-key batch while
+Profiled on the 512M-turn scaling table, the gather itself (the part a
+cache-line layout optimizes) was 0.23 s per 2M-key batch while
 index construction + scatter cost ~3.4 s — the kernel is temp-traffic
 bound, not DRAM-latency bound.
 
 A sequential C loop has none of that: per key it computes the probe
 indices in registers, tests and sets bits in place, and prefetches the
 block of a key a fixed distance ahead so the one unavoidable DRAM miss per
-key (blocked/split layouts) is overlapped. This module compiles that loop
+key (split layout) is overlapped. There is one kernel per layout:
+``classic_tas`` and ``split_tas``. This module compiles that loop
 with the system C compiler at first use and binds it via ctypes:
 
 - no third-party packages (gcc/cc ship in the image; ctypes and hashlib are
@@ -86,37 +87,6 @@ void classic_tas(uint64_t *bits, uint64_t m, int pow2, int k,
     }
 }
 
-/* cache-line-blocked layout (BlockedBloomFilter): fmix64(h1) selects one
-   512-bit block; bit_j = top-9-bits of h2*mul[j] inside it. Must compute
-   bit-for-bit the same indices as the numpy _indices(). */
-void blocked_tas(uint64_t *bits, uint64_t n_blocks, int pow2, int k,
-                 const uint64_t *mul, const uint64_t *h1, const uint64_t *h2,
-                 int64_t n, uint8_t *seen)
-{
-    const uint64_t mask = n_blocks - 1;
-    const int64_t D = 16;
-    for (int64_t i = 0; i < n; i++) {
-        if (i + D < n) {
-            uint64_t b = fmix64(h1[i + D]);
-            b = pow2 ? (b & mask) : (b % n_blocks);
-            __builtin_prefetch(&bits[b * 8], 1, 0);
-        }
-        uint64_t b = fmix64(h1[i]);
-        b = pow2 ? (b & mask) : (b % n_blocks);
-        uint64_t *blk = &bits[b * 8];
-        uint64_t h = h2[i];
-        int all = 1;
-        for (int j = 0; j < k; j++) {
-            uint64_t bit = (h * mul[j]) >> 55;  /* [0, 512) */
-            uint64_t bm = 1ULL << (bit & 63u);
-            uint64_t *w = &blk[bit >> 6];
-            all &= (int)((*w & bm) != 0);
-            *w |= bm;
-        }
-        seen[i] = (uint8_t)all;
-    }
-}
-
 /* split-block layout (SplitBlockBloomFilter): one bit per 64-bit lane of
    the 512-bit block, k = 8 — one gather line, eight register ops. */
 void split_tas(uint64_t *bits, uint64_t n_blocks, int pow2,
@@ -145,32 +115,6 @@ void split_tas(uint64_t *bits, uint64_t n_blocks, int pow2,
         seen[i] = (uint8_t)all;
     }
 }
-
-/* read-only membership for the split layout */
-void split_test(const uint64_t *bits, uint64_t n_blocks, int pow2,
-                const uint64_t *mul, const uint64_t *h1, const uint64_t *h2,
-                int64_t n, uint8_t *out)
-{
-    const uint64_t mask = n_blocks - 1;
-    const int64_t D = 16;
-    for (int64_t i = 0; i < n; i++) {
-        if (i + D < n) {
-            uint64_t b = fmix64(h1[i + D]);
-            b = pow2 ? (b & mask) : (b % n_blocks);
-            __builtin_prefetch(&bits[b * 8], 0, 0);
-        }
-        uint64_t b = fmix64(h1[i]);
-        b = pow2 ? (b & mask) : (b % n_blocks);
-        const uint64_t *blk = &bits[b * 8];
-        uint64_t h = h2[i];
-        int all = 1;
-        for (int j = 0; j < 8; j++) {
-            uint64_t bm = 1ULL << ((h * mul[j]) >> 58);
-            all &= (int)((blk[j] & bm) != 0);
-        }
-        out[i] = (uint8_t)all;
-    }
-}
 """
 
 _CACHE_DIR = os.path.join(
@@ -185,15 +129,7 @@ _SIGNATURES = {
         _u64p, ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
         _u64p, _u64p, ctypes.c_int64, _u8p,
     ],
-    "blocked_tas": [
-        _u64p, ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
-        _u64p, _u64p, _u64p, ctypes.c_int64, _u8p,
-    ],
     "split_tas": [
-        _u64p, ctypes.c_uint64, ctypes.c_int,
-        _u64p, _u64p, _u64p, ctypes.c_int64, _u8p,
-    ],
-    "split_test": [
         _u64p, ctypes.c_uint64, ctypes.c_int,
         _u64p, _u64p, _u64p, ctypes.c_int64, _u8p,
     ],

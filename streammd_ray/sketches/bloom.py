@@ -81,7 +81,7 @@ class BloomFilter(Sketch):
 
     #: axis of ``_indices`` output that runs over the k probes of one key:
     #: 0 → shape (k, n) probe-major (classic), 1 → shape (n, k) key-major
-    #: (blocked layout — key-major order makes the k gathers/scatters of a
+    #: (split layout — key-major order makes the k gathers/scatters of a
     #: key consecutive, so they hit the one cache line the layout promises)
     _probe_axis = 0
 
@@ -341,7 +341,7 @@ class BloomFilter(Sketch):
         return self.n_added
 
 
-#: one x86 cache line. The blocked filter confines all k probes of a key to a
+#: one x86 cache line. The split filter confines all k probes of a key to a
 #: single 512-bit block, so a probe costs ~1 DRAM line fetch instead of k.
 BLOCK_BITS = 512
 
@@ -367,147 +367,27 @@ _M64 = (1 << 64) - 1
 
 def _splitmix64(x: int) -> int:
     """SplitMix64 finalizer (Steele et al. 2014, public domain) — generates
-    the blocked filter's fixed probe constants deterministically."""
+    the split filter's fixed probe constants deterministically."""
     x = (x + 0x9E3779B97F4A7C15) & _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
     return x ^ (x >> 31)
 
 
-class BlockedBloomFilter(BloomFilter):
-    """Cache-line-blocked Bloom filter (Putze, Sanders & Singler 2007,
-    "Cache-, Hash- and Space-Efficient Bloom Filters", WEA).
-
-    Layout: h1 selects one 512-bit block (a 64-byte cache line); all k probe
-    bits live inside that block, each derived from h2 by an independent
-    multiplicative hash (top-9-bits of h2·C_j for k fixed odd constants).
-    One key therefore touches 1 cache line on insert and lookup where the
-    classic layout touches k — on filters far larger than LLC this removes
-    the DRAM-latency wall that dominates the probe kernel.
-
-    Probe derivation note: an odd-step LINEAR in-block probe (start + j·step)
-    was measured 200× worse than the Poisson-mixture prediction — two keys
-    sharing (start, step), probability 2^-17 per pair, collide in ALL k bits,
-    a structured floor of λ·2^-17 on the FPR. k independent multiplicative
-    remixes of h2 have no such floor (within-key offset birthday collisions
-    merely shave effective k: ~k²/2B ≈ 10% chance one pair of the 10 probes
-    coincides, a negligible FPR uplift).
-
-    Cost: for the same m the FPR is worse than the classic layout because
-    block loads are Poisson-skewed — ``marginal_fpr`` computes the honest
-    blocked figure (the Poisson mixture over block loads, eq. 3 of the
-    paper) instead of the classic formula. At this engine's default
-    p=1e-6 geometry the blocked FPR lands ~1e-5: still far below any
-    dedup-relevant threshold. ``capacity``/``n`` keep the classic nominal
-    meaning (documented approximation).
-
-    Everything else — batched first-occurrence semantics, merge (bitwise OR
-    of equal-geometry arrays), serialization, popcount/estimate — is
-    inherited unchanged; only the probe-index geometry differs. ``kind``
-    differs, so merges can never silently mix layouts.
-    """
-
-    kind = "bloom_blocked"
-
-    def __init__(
-        self,
-        p: float = DEFAULT_FPR,
-        n: int | None = None,
-        *,
-        m: int | None = None,
-        k: int | None = None,
-        seeds: tuple[int, int] = (SEED_A, SEED_B),
-    ):
-        super().__init__(p, n, m=m, k=k, seeds=seeds)
-        if self.k > BLOCK_BITS:
-            raise ValueError(f"k={self.k} exceeds block size {BLOCK_BITS}")
-        # round m UP to whole cache lines; addressing is per-block, so the
-        # pow2 fast path keys off the BLOCK count
-        self.n_blocks = (self.m + BLOCK_BITS - 1) // BLOCK_BITS
-        self.m = self.n_blocks * BLOCK_BITS
-        self._pow2 = (self.n_blocks & (self.n_blocks - 1)) == 0
-        self._mask = np.uint64(self.n_blocks - 1) if self._pow2 else None
-        self._bits = np.zeros(self.m // 64, dtype=np.uint64)
-        # k fixed odd multiplicative-probe constants (splitmix64 of j | 1):
-        # deterministic in k, so equal-(m,k,seeds) filters probe identically
-        # and merge/serialization stay geometry-compatible
-        self._probe_mul = np.array(
-            [_splitmix64(j) | 1 for j in range(self.k)], dtype=np.uint64
-        )
-
-    #: key-major (n, k) indices: a key's k probes are CONSECUTIVE in memory
-    #: order, so the gather/scatter hits its one cache line k times in a row
-    #: (1 DRAM fetch + k-1 L1 hits). In probe-major (k, n) order — measured
-    #: first — the line is evicted between probe rows and blocked ran SLOWER
-    #: than classic (33-40 s vs 22-35 s on the 16M-key microbench).
-    _probe_axis = 1
-
-    def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """(n, k) probe indices, all k confined to h1's 512-bit block."""
-        # Remix h1 before block selection (murmur3 fmix64). The shard router
-        # upstream partitions keys by h1 mod P, so a shard sees only h1
-        # values sharing their low bits — selecting blocks from raw h1 & mask
-        # would concentrate every key into 1/P of the blocks (measured: 16
-        # shards inflated dups_marked by 16k false positives at 16M turns).
-        # The classic layout tolerates the bias (only probe 0 is affected);
-        # the blocked layout's entire geometry rides on this one value.
-        with np.errstate(over="ignore"):
-            x = h1 ^ (h1 >> np.uint64(33))
-            x = x * np.uint64(0xFF51AFD7ED558CCD)
-            x ^= x >> np.uint64(33)
-            x = x * np.uint64(0xC4CEB9FE1A85EC53)
-            x ^= x >> np.uint64(33)
-        if self._pow2:
-            blk = x & self._mask
-        else:
-            blk = x % np.uint64(self.n_blocks)
-        # top-9-bit multiplicative hash per probe; uint64 multiply wraps mod
-        # 2^64 by design
-        with np.errstate(over="ignore"):
-            bit = (h2[:, None] * self._probe_mul) >> np.uint64(
-                64 - BLOCK_BITS.bit_length() + 1
-            )
-        return blk[:, None] * np.uint64(BLOCK_BITS) + bit
-
-    def marginal_fpr(self, n_items: int | None = None) -> float:
-        """Blocked FPR: Poisson mixture over block loads — a block holding i
-        keys is a local (512, k) filter with i inserts, and loads are
-        Poisson(n·512/m) across blocks (Putze et al. 2007, eq. 3)."""
-        n = self.n_added if n_items is None else n_items
-        return _block_load_mixture(
-            n * BLOCK_BITS / self.m,
-            lambda i: (1.0 - math.exp(-self.k * i / BLOCK_BITS)) ** self.k,
-        )
-
-    def _native_tas(self, nat, h1, h2, seen) -> None:
-        nat.blocked_tas(
-            self._bits,
-            np.uint64(self.n_blocks),
-            int(self._pow2),
-            int(self.k),
-            self._probe_mul,
-            h1,
-            h2,
-            np.int64(len(h1)),
-            seen,
-        )
-
-
 class SplitBlockBloomFilter(BloomFilter):
-    """Split-block Bloom filter: the bit-pattern variant of the blocked
-    layout (Putze, Sanders & Singler 2007 §4; the same design family as the
-    Parquet/Impala split-block Bloom filter).
+    """Split-block Bloom filter: the bit-pattern variant of the
+    cache-line-blocked layout (Putze, Sanders & Singler 2007 §4; the same
+    design family as the Parquet/Impala split-block Bloom filter).
 
-    Layout: fmix64(h1) selects one 512-bit block (a 64-byte cache line),
-    exactly like ``BlockedBloomFilter``; within the block the key sets ONE
-    bit in each of the 8 64-bit lanes, lane j's position being the top 6
-    bits of ``h2 · mul_j`` for 8 fixed independent odd constants. k is
-    therefore structurally 8.
+    Layout: fmix64(h1) selects one 512-bit block (a 64-byte cache line);
+    within the block the key sets ONE bit in each of the 8 64-bit lanes,
+    lane j's position being the top 6 bits of ``h2 · mul_j`` for 8 fixed
+    independent odd constants. k is therefore structurally 8.
 
-    Why it exists: profiling the blocked layout on the 512M-turn scaling
-    table showed the kernel is TEMP-TRAFFIC bound, not DRAM-latency bound —
-    the (n, k) index matrix and the unbuffered ``np.bitwise_or.at`` scatter
-    cost ~15x the gather they orbit. One-bit-per-lane makes both the
+    Why it exists: profiling a k-probes-per-block layout on the 512M-turn
+    scaling table showed the kernel is TEMP-TRAFFIC bound, not DRAM-latency
+    bound — the (n, k) index matrix and the unbuffered ``np.bitwise_or.at``
+    scatter cost ~15x the gather they orbit. One-bit-per-lane makes both the
     membership test and the insert an 8-lane register operation against a
     single gathered cache line: the native sequential kernel
     (sketches/_native.py) runs it at one DRAM miss per key with no
@@ -525,7 +405,7 @@ class SplitBlockBloomFilter(BloomFilter):
     p=1e-6 geometry (λ≈6 at capacity) it lands ~1e-8, i.e. BETTER than the
     k=10 classic bound, because 34.6 bits/key is far above the ~10.7 the
     pattern needs. ``capacity``/``n`` keep the classic nominal meaning at
-    k=8 (documented approximation, same stance as the blocked layout).
+    k=8 (documented approximation).
     """
 
     kind = "bloom_split"
@@ -564,8 +444,7 @@ class SplitBlockBloomFilter(BloomFilter):
         self._bits = np.zeros(self.m // 64, dtype=np.uint64)
         self.n = capacity(p, self.m, self.LANES)
         # 8 independent odd multiplicative constants (see class docstring);
-        # offset the splitmix64 stream so they never collide with the
-        # blocked layout's probe constants
+        # the stream offset is part of the layout: snapshots depend on it
         self._probe_mul = np.array(
             [_splitmix64(0x5B1F_0000 + j) | 1 for j in range(self.LANES)],
             dtype=np.uint64,
@@ -588,6 +467,9 @@ class SplitBlockBloomFilter(BloomFilter):
     def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """(n, 8) flat bit indices: one per lane of h1's block (numpy
         fallback path; the C kernel computes the same indices in registers)."""
+        # remix h1 (murmur3 fmix64) before block selection: the shard router
+        # partitions keys by h1 mod P, so raw h1 & mask would crowd a shard's
+        # keys into 1/P of its blocks
         with np.errstate(over="ignore"):
             x = h1 ^ (h1 >> np.uint64(33))
             x = x * np.uint64(0xFF51AFD7ED558CCD)
@@ -624,136 +506,3 @@ class SplitBlockBloomFilter(BloomFilter):
             np.int64(len(h1)),
             seen,
         )
-
-
-# ---------------------------------------------------------------------------
-# exact-set "layout": zero-FPR dedup state behind the BloomFilter interface
-# ---------------------------------------------------------------------------
-
-_PAIR_DTYPE = np.dtype([("a", "<u8"), ("b", "<u8")])
-
-
-class ExactSetFilter(BloomFilter):
-    """An EXACT 128-bit-key set behind the BloomFilter interface — the
-    ``--bloom-layout exact`` probe layout.
-
-    Completes the dedup family's trade-off curve: the reference's thesis
-    (src/bloomfilter.cxx) is that a Bloom filter buys memory at the cost of
-    a configured FPR; this layout spends ~16 bytes/key (vs ~2-4 BITS/key)
-    to buy p = 0 — stream-order exact marking with the payload still never
-    crossing the object store, i.e. the exactness of ``dedup_exact_first``
-    at the shuffle profile of the flagship. At 10^12 turns with ~10^11
-    distinct keys that is ~1.6 TB of state across the cluster's shard
-    actors — realistic on 256 nodes, impossible on one; the memspec
-    capacity guard reports exactly this budget.
-
-    Storage is a two-level sorted structured array (main + small buffer):
-    membership = one vectorized ``searchsorted`` per level, insert =
-    sort-merge of the distinct new keys into the buffer, buffer folded into
-    main when it reaches a quarter of main's size — amortized O(log n)
-    per key with NO per-key Python anywhere.
-    """
-
-    kind = "bloom_exact"
-
-    def __init__(
-        self,
-        p: float = DEFAULT_FPR,
-        n: int | None = None,
-        *,
-        m: int | None = None,
-        k: int | None = None,
-        seeds: tuple[int, int] = (SEED_A, SEED_B),
-    ):
-        # p and k are accepted for constructor-shape parity and recorded for
-        # lineage, but play no probabilistic role; m (a BIT budget in the
-        # Bloom sizing convention) converts at 128 bits/key of raw storage
-        self.p = float(p)
-        if m is not None:
-            self.m = int(m)
-            self.n = max(1, int(m) // 128)
-        elif n is not None:
-            self.n = int(n)
-            self.m = 128 * self.n
-        else:
-            raise ValueError("need either n or m")
-        self.k = 0
-        self.seeds = tuple(seeds)
-        self.hasher = HASHER_ID
-        self._main = np.empty(0, dtype=_PAIR_DTYPE)  # sorted
-        self._buf = np.empty(0, dtype=_PAIR_DTYPE)  # sorted, bounded
-        self.n_added = 0
-
-    def _compat_key(self) -> tuple:
-        return (self.kind, self.seeds, self.hasher)
-
-    @staticmethod
-    def _pack(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        out = np.empty(len(h1), dtype=_PAIR_DTYPE)
-        out["a"] = h1.astype(np.uint64, copy=False)
-        out["b"] = h2.astype(np.uint64, copy=False)
-        return out
-
-    @staticmethod
-    def _member(sorted_arr: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        if not len(sorted_arr) or not len(keys):
-            return np.zeros(len(keys), dtype=bool)
-        idx = np.minimum(np.searchsorted(sorted_arr, keys), len(sorted_arr) - 1)
-        return sorted_arr[idx] == keys
-
-    def contains_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        keys = self._pack(h1, h2)
-        return self._member(self._main, keys) | self._member(self._buf, keys)
-
-    def add_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        keys = self._pack(h1, h2)
-        seen = self._member(self._main, keys) | self._member(self._buf, keys)
-        new_pos = np.flatnonzero(~seen)
-        was_new = np.zeros(len(keys), dtype=bool)
-        if len(new_pos):
-            # within-batch first occurrence wins (same sequential semantics
-            # as the Bloom layouts' vectorized test-and-set)
-            uniq, first = np.unique(keys[new_pos], return_index=True)
-            was_new[new_pos[first]] = True
-            self._buf = (
-                np.sort(np.concatenate([self._buf, uniq]))
-                if len(self._buf)
-                else uniq
-            )
-            self.n_added += len(uniq)
-            if len(self._buf) * 4 >= max(len(self._main), 1 << 20):
-                self._main = np.sort(np.concatenate([self._main, self._buf]))
-                self._buf = np.empty(0, dtype=_PAIR_DTYPE)
-        return was_new
-
-    # interface parity (scalar API mirrors the base class; the batch API —
-    # add_batch / contains_batch / insert_batch — is inherited and already
-    # routes through add_hashed / contains_hashed) ----------------------------
-
-    def add(self, item) -> bool:
-        h1, h2 = self._scalar_hashes(item)
-        return bool(self.add_hashed(h1, h2)[0])
-
-    def contains(self, item) -> bool:
-        h1, h2 = self._scalar_hashes(item)
-        return bool(self.contains_hashed(h1, h2)[0])
-
-    def marginal_fpr(self, n_items: int | None = None) -> float:
-        return 0.0  # no false positives at any load
-
-    def count_estimate(self) -> float:
-        return float(self.n_added)  # exact, by construction
-
-    def estimate(self) -> float:
-        return float(self.n_added)
-
-    def merge(self, other: "ExactSetFilter") -> "ExactSetFilter":
-        self.check_compatible(other)
-        self._main = np.unique(
-            np.concatenate([self._main, self._buf, other._main, other._buf])
-        )
-        self._buf = np.empty(0, dtype=_PAIR_DTYPE)
-        self.n_added = len(self._main)
-        self.n = max(self.n, other.n)
-        self.m = max(self.m, other.m)
-        return self

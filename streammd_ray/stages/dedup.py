@@ -2,7 +2,7 @@
 single-pass Bloom dedup (/root/reference/src/markdups.cxx:86-135, studied for
 semantics only).
 
-Three building blocks:
+Three building blocks, one implementation each:
 
 - :func:`add_key_columns` — stateless ``map_batches`` deriving the dedup key's
   two 64-bit hashes from the canonical key bytes. Multi-column keys use
@@ -11,7 +11,7 @@ Three building blocks:
   generalize that discipline). Null content ⇒ null key (the "unmapped"
   analog: counted, never inserted, src/markdups.cxx:110-112).
 
-- :class:`BloomShardActor` + :class:`BloomMarkStage` — the stateful path.
+- :class:`_BloomShard` + :class:`BloomMarkStage` — the stateful path.
   P shard actors each own 1/P of the global Bloom filter; every key is routed
   to ``h1 mod P``, so each key always consults the same shard and the
   partitioned filter is decision-equivalent to one global filter of the same
@@ -23,12 +23,12 @@ Three building blocks:
   order-sensitive oracles must use :func:`dedup_exact_first` instead; the
   duplicate-count and metrics are deterministic.
 
-- :func:`dedup_exact_first` — the exact, deterministic oracle path:
-  hash-partitioned ``groupby`` + first-by-(conv_id, turn_idx) within each
-  group. O(n) shuffle; use at test scale and wherever row-identity
-  determinism matters. This is the engine's analog of the exact-dedup oracle
-  the reference is validated against (Picard golden outputs,
-  tests/test_picard.cxx).
+- :func:`dedup_exact_first` — the exact, deterministic oracle path: one
+  hash-partition shuffle of the rows by key hash, then first-by-(conv_id,
+  turn_idx) within each partition. O(n) shuffle; use at test scale and
+  wherever row-identity determinism matters. This is the engine's analog
+  of the exact-dedup oracle the reference is validated against (Picard
+  golden outputs, tests/test_picard.cxx).
 """
 
 from __future__ import annotations
@@ -41,39 +41,25 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import SEED_A, SEED_B, hash_pair_batch
-from ..sketches.bloom import (
-    BlockedBloomFilter,
-    BloomFilter,
-    ExactSetFilter,
-    SplitBlockBloomFilter,
-)
+from ..sketches.bloom import BloomFilter, SplitBlockBloomFilter
 
 KEY_H1 = "__key_h1"
 KEY_H2 = "__key_h2"
 
-#: probe-layout registry (see _BloomShard.__init__ for the semantics);
-#: "exact" trades ~16 bytes/key for p = 0 — stream-order exact marking at
-#: the flagship's shuffle profile (sketches/bloom.py ExactSetFilter)
-BLOOM_LAYOUTS = {
-    "classic": BloomFilter,
-    "blocked": BlockedBloomFilter,
-    "split": SplitBlockBloomFilter,
-    "exact": ExactSetFilter,
-}
+#: probe-layout registry (see _BloomShard.__init__ for the semantics)
+BLOOM_LAYOUTS = {"classic": BloomFilter, "split": SplitBlockBloomFilter}
 
 
-def resolve_layout(layout: str | None, blocked: bool = False):
-    """Map (layout, legacy blocked flag) → filter class; reject conflicts
-    (a caller saying blocked=True layout='split' has a bug, not a default)."""
+def resolve_layout(layout: str | None):
+    """Map a layout name → filter class; ``None`` means classic."""
     if layout is None:
-        return BlockedBloomFilter if blocked else BloomFilter
+        return BloomFilter
     if layout not in BLOOM_LAYOUTS:
         raise ValueError(
             f"unknown bloom layout {layout!r}; one of {sorted(BLOOM_LAYOUTS)}"
         )
-    if blocked and layout != "blocked":
-        raise ValueError(f"blocked=True conflicts with layout={layout!r}")
     return BLOOM_LAYOUTS[layout]
+
 
 # Arrow field-metadata key recording which (key_cols, seeds) produced the
 # stored hash columns — checked on passthrough so a pipeline can't silently
@@ -192,20 +178,16 @@ class _BloomShard:
         m: int | None = None,
         k: int | None = None,
         seeds=(SEED_A, SEED_B),
-        blocked: bool = False,
         layout: str | None = None,
     ):
         # layout: probe geometry of this shard's filter —
         #   "classic" (default): k probes over the whole bitset, the
         #     reference's layout (src/bloomfilter.cxx:104-120);
-        #   "blocked": cache-line-blocked (BlockedBloomFilter) — all k
-        #     probes in one 64-byte line;
         #   "split": split-block bit pattern (SplitBlockBloomFilter) — one
-        #     bit per 64-bit lane of the line, structural k=8, the fastest
-        #     kernel (~30x classic-numpy with the native path).
+        #     bit per 64-bit lane of one 64-byte line, structural k=8, the
+        #     fastest kernel (~30x classic-numpy with the native path).
         # Each layout's stats() report its own honest marginal_fpr.
-        # ``blocked`` is the pre-layout boolean spelling, kept for callers.
-        cls = resolve_layout(layout, blocked)
+        cls = resolve_layout(layout)
         if cls is SplitBlockBloomFilter:
             k = None  # structural k=8; mem-spec callers pass k=10
         if m is not None and k is not None:
@@ -306,7 +288,6 @@ def make_shard_actors(
     mem: str | None = None,
     seeds=(SEED_A, SEED_B),
     num_cpus: float = 0,
-    blocked: bool = False,
     layout: str | None = None,
 ):
     """Create the P Bloom shard actors.
@@ -328,7 +309,7 @@ def make_shard_actors(
     from ..sketches.bloom import DEFAULT_MEM_K, parse_memspec
 
     Actor = ray.remote(num_cpus=num_cpus)(_BloomShard)
-    kwargs: dict = {"seeds": seeds, "blocked": blocked, "layout": layout}
+    kwargs: dict = {"seeds": seeds, "layout": layout}
     if mem is not None:
         total_m = 8 * parse_memspec(mem)
         per_m = total_m // num_shards
@@ -421,8 +402,8 @@ def make_mark_fn(shards, *, mark_col: str = "is_duplicate"):
     map_batches stages (read → derive → mark → finish → tail become ONE
     task chain — no actor pool to spawn, no extra object-store hop). The
     closure is deserialized once per worker process and the stage instance
-    (with its per-task ordinal bookkeeping) persists there, so retry-replay
-    semantics are identical to the actor-pool path."""
+    (with its per-task ordinal bookkeeping) persists there, so a retried
+    task replays its batches from the shard cache."""
     holder: dict = {}
 
     def mark_fn(batch: pa.Table) -> pa.Table:
@@ -499,39 +480,25 @@ def dedup_exact_first(
     order_cols: tuple[str, ...] = ("conv_id", "turn_idx"),
     mark_col: str = "is_duplicate",
     drop_key_cols: bool = True,
-    strategy: str = "partition",
     num_partitions: int | None = None,
 ):
     """Exact first-seen-wins duplicate marking, deterministic under any
     partition layout: first = min(order_cols) per distinct key.
 
-    strategy='partition' (default): ONE payload shuffle total —
-    hash-partition the full rows by h1 and mark first-occurrence per
-    partition with a single sort + vectorized ``duplicated`` over the whole
-    partition (every row of a key meets in one partition, so the
-    partition-local decision is global). Key identity is the 128-bit hash
-    (collision probability ~2^-128 — the standard content-hash dedup
-    assumption). Measured 3.8-4.7× faster than 'join' at 1.6M rows / 32
-    CPUs (1.1-1.3 s vs 4.3-5.3 s), cell-identical output incl. dtypes
-    (test-pinned). Sizing rule: each hash partition becomes ONE in-memory
-    frame in its reducer, so ``num_partitions`` must bound partition bytes
-    into a worker heap — pass ``auto_num_partitions(bytes_hint=...)`` when
-    the payload estimate is known (at 100 TB: ~e.g. 4096-cap partitions of
-    the hashed key space; raise the cap for bigger corpora).
+    ONE payload shuffle total: hash-partition the full rows by h1 and mark
+    first-occurrence per partition with a single sort + vectorized
+    ``duplicated`` over the whole partition (every row of a key meets in
+    one partition, so the partition-local decision is global). Key identity
+    is the 128-bit hash (collision probability ~2^-128 — the standard
+    content-hash dedup assumption).
 
-    strategy='join': shuffle only the 128-bit key hash + an order-encoded
-    rank string — ``groupby(h1,h2).Min(rank)`` then a hash join back; fully
-    vectorized, no per-group Python. Payload bytes still cross the network
-    once (the join's build side), plus the slim Min exchange; keeps every
-    stage streaming-blocked, so no per-partition memory constraint — the
-    fallback when partitions can't be memory-bounded.
+    Sizing rule: each hash partition becomes ONE in-memory frame in its
+    reducer, so ``num_partitions`` bounds per-partition memory — pass
+    ``auto_num_partitions(bytes_hint=...)`` when the payload estimate is
+    known (the default sizes to the cluster's CPUs only).
 
-    strategy='groups': ``groupby(h1)`` + per-group pandas with exact
-    real-key comparison (resolves even 64-bit collisions); slower due to
-    per-group overhead — the validation-scale reference implementation.
-
-    Null-key rows are salted across groups by row identity so the null
-    fraction doesn't become one giant group; they are never marked.
+    Null-key rows are salted across partitions by row identity so the null
+    fraction doesn't become one giant partition; they are never marked.
     """
     if num_partitions is None:
         from ..context import auto_num_partitions
@@ -560,100 +527,20 @@ def dedup_exact_first(
 
     ds = add_key_columns(ds, key_cols)
     ds = ds.map_batches(salt_nulls, batch_format="pyarrow")
-
-    key_list = list(key_cols)
     order_list = list(order_cols)
 
-    if strategy == "join":
-        # order-encoded rank whose lexicographic order == (order_cols) tuple
-        # order: first col (string) + NUL + zero-filled numeric second col
-        def add_rank(t: pa.Table) -> pa.Table:
-            rank = pc.binary_join_element_wise(
-                pc.cast(t[order_cols[0]].combine_chunks(), pa.string()),
-                pc.utf8_lpad(
-                    pc.cast(t[order_cols[1]].combine_chunks(), pa.string()),
-                    12,
-                    "0",
-                ),
-                "\x00",
-            )
-            t = t.append_column("__rank", rank)
-            # pyarrow's hash join rejects null-typed payload columns (an
-            # all-null block infers type null); carry them as string
-            for i, f in enumerate(t.schema):
-                if pa.types.is_null(f.type):
-                    t = t.set_column(
-                        i, f.name, pa.nulls(len(t), pa.string())
-                    )
-            return t
+    from .windows import partitioned_group_apply
 
-        from ray.data.aggregate import Min
-
-        keyed = ds.map_batches(add_rank, batch_format="pyarrow", zero_copy_batch=True)
-        from ..context import drop_empty_blocks
-
-        mins = keyed.groupby([KEY_H1, KEY_H2]).aggregate(
-            Min("__rank", alias_name="__min_rank")
-        )
-        # empty reducer partitions finalize to zero-column blocks which the
-        # join below cannot key — strip them (context.drop_empty_blocks)
-        mins = drop_empty_blocks(
-            mins,
-            empty_schema=pa.schema(
-                [
-                    (KEY_H1, pa.int64()),
-                    (KEY_H2, pa.int64()),
-                    ("__min_rank", pa.string()),
-                ]
-            ),
-        )
-        joined = keyed.join(
-            mins,
-            "inner",
-            num_partitions=num_partitions,
-            on=(KEY_H1, KEY_H2),
-        )
-
-        def mark(t: pa.Table) -> pa.Table:
-            dup = pc.and_(
-                pc.invert(t["__key_null"].combine_chunks()),
-                pc.not_equal(
-                    t["__rank"].combine_chunks(), t["__min_rank"].combine_chunks()
-                ),
-            )
-            return t.append_column(mark_col, dup)
-
-        out = joined.map_batches(mark, batch_format="pyarrow", zero_copy_batch=True)
-        drop = [KEY_H1, KEY_H2, "__key_null", "__rank", "__min_rank"]
-        return out.drop_columns(drop)
-
-    if strategy == "partition":
-        from .windows import partitioned_group_apply
-
-        def mark_partition(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.sort_values(order_list, kind="stable")
-            nn = ~df["__key_null"].to_numpy()
-            dup = np.zeros(len(df), dtype=bool)
-            if nn.any():
-                sub = df.loc[nn, [KEY_H1, KEY_H2]]
-                dup[nn] = sub.duplicated(keep="first").to_numpy()
-            df[mark_col] = dup
-            return df.drop(columns=[KEY_H1, KEY_H2, "__key_null"])
-
-        return partitioned_group_apply(
-            ds, KEY_H1, mark_partition, num_partitions=num_partitions
-        )
-
-    def mark_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_list, kind="stable")
-        nn = ~g["__key_null"].to_numpy()
-        dup = np.zeros(len(g), dtype=bool)
+    def mark_partition(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(order_list, kind="stable")
+        nn = ~df["__key_null"].to_numpy()
+        dup = np.zeros(len(df), dtype=bool)
         if nn.any():
-            sub = g.loc[nn, key_list]
+            sub = df.loc[nn, [KEY_H1, KEY_H2]]
             dup[nn] = sub.duplicated(keep="first").to_numpy()
-        g[mark_col] = dup
-        return g
+        df[mark_col] = dup
+        return df.drop(columns=[KEY_H1, KEY_H2, "__key_null"])
 
-    out = ds.groupby(KEY_H1).map_groups(mark_group, batch_format="pandas")
-    drop = [KEY_H1, KEY_H2, "__key_null"]
-    return out.drop_columns(drop)
+    return partitioned_group_apply(
+        ds, KEY_H1, mark_partition, num_partitions=num_partitions
+    )

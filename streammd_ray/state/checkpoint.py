@@ -112,9 +112,10 @@ def run_flagship_checkpointed(
     ``key_cols``/``scope``/``remove_duplicates`` mean what they mean for
     ``mark_duplicates``; with ``remove_duplicates`` the part files hold only
     first-seen rows while counters and sketches still count every turn.
-    ``bloom_layout`` selects the shards' probe geometry. All four, like the
-    sizing, are pinned in the manifest config: a resume with any of them
-    changed raises ``ValueError`` instead of mixing geometries or key specs.
+    ``bloom_layout`` selects the shards' probe geometry: ``None`` (classic)
+    or ``"split"``. These four options, like the sizing, are pinned in the
+    manifest config: a resume with any of them changed raises
+    ``ValueError`` instead of mixing geometries or key specs.
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``.
 

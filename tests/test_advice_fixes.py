@@ -92,12 +92,15 @@ def test_flagship_consume_once_guard(ray_session):
             }
         )
     )
-    res = run_flagship(ds, num_shards=2, mark_concurrency=(1, 2))
-    assert res.counters["turns"] > 0
-    with pytest.raises(RuntimeError, match="consumed"):
-        res.mark.marked.count()
-    with pytest.raises(RuntimeError, match="consumed"):
-        res.mark.dataset.take(1)
+    res = run_flagship(ds, num_shards=2)
+    try:
+        assert res.counters["turns"] > 0
+        with pytest.raises(RuntimeError, match="consumed"):
+            res.mark.marked.count()
+        with pytest.raises(RuntimeError, match="consumed"):
+            res.mark.dataset.take(1)
+    finally:
+        res.mark.release()
 
 
 def test_checkpoint_resume_restores_counters(ray_session, tmp_path):

@@ -4,12 +4,12 @@ the native C probe kernels (sketches/_native.py).
 The split layout (Putze et al. 2007 §4 bit patterns; the Parquet/Impala
 split-block family) is the engine's fastest probe geometry: one bit per
 64-bit lane of a 512-bit block, structural k=8. Tests mirror the classic
-contract (tests/test_bloom.py) and the blocked suite, plus:
+contract (tests/test_bloom.py), plus:
 
 - the probe-CONSTANT independence regression: deriving lane constants as
   small odd multiples of one golden constant correlated the top bits and
   measured 2.9e-3 FPR where the mixture model said 1e-8;
-- numpy/native parity for all three layouts (the C kernel must compute
+- numpy/native parity for both layouts (the C kernel must compute
   the identical probe indices, and its sequential semantics must agree
   with the batch kernel whenever no intra-batch false positive occurs —
   i.e. deterministically at these fills).
@@ -18,12 +18,7 @@ contract (tests/test_bloom.py) and the blocked suite, plus:
 import numpy as np
 import pytest
 
-from streammd_ray.sketches import (
-    BlockedBloomFilter,
-    BloomFilter,
-    SketchError,
-    SplitBlockBloomFilter,
-)
+from streammd_ray.sketches import BloomFilter, SketchError, SplitBlockBloomFilter
 from streammd_ray.sketches import _native
 from streammd_ray.sketches.bloom import BLOCK_BITS
 
@@ -131,11 +126,9 @@ def test_merge_or_semantics_and_layout_guard():
     union = SplitBlockBloomFilter.from_bytes(a.to_bytes()).merge(b)
     assert union.contains_hashed(h1a, h2a).all()
     assert union.contains_hashed(h1b, h2b).all()
-    # the three layouts must refuse to merge pairwise at identical (m, k)
+    # the two layouts must refuse to merge at identical (m, k)
     with pytest.raises(SketchError):
         BloomFilter(1e-6, m=2**20, k=8).merge(a)
-    with pytest.raises(SketchError):
-        BlockedBloomFilter(1e-6, m=2**20, k=8).merge(a)
 
 
 def test_serde_roundtrip_preserves_layout():
@@ -150,17 +143,26 @@ def test_serde_roundtrip_preserves_layout():
     assert np.array_equal(back._indices(h1, h2), bf._indices(h1, h2))
 
 
+@pytest.mark.parametrize("layout", ["classic", "split"])
+def test_marginal_fpr_takes_n_items(layout):
+    """Every layout answers marginal_fpr(n_items) for a load other than its
+    own."""
+    cls = {"classic": BloomFilter, "split": SplitBlockBloomFilter}[layout]
+    f = cls(1e-6, 10_000)
+    assert f.marginal_fpr(n_items=0) == 0.0
+    assert f.marginal_fpr(n_items=10**6) > 1e-3
+    assert f.marginal_fpr() == 0.0  # nothing inserted yet
+
+
 # --- native kernel parity ---------------------------------------------------
 
 
 LAYOUTS = {
     "classic": lambda: BloomFilter(1e-6, m=2**23, k=10),
     "classic_nonpow2": lambda: BloomFilter(1e-6, m=2**23 - 64, k=10),
-    "blocked": lambda: BlockedBloomFilter(1e-6, m=2**23, k=10),
+    "split": lambda: SplitBlockBloomFilter(1e-6, m=2**23),
     # 3 * 2**21 bits → 12288 blocks: exercises the modulus (non-pow2)
     # block-select path in both the numpy and C kernels
-    "blocked_nonpow2": lambda: BlockedBloomFilter(1e-6, m=3 * 2**21, k=10),
-    "split": lambda: SplitBlockBloomFilter(1e-6, m=2**23),
     "split_nonpow2": lambda: SplitBlockBloomFilter(1e-6, m=3 * 2**21),
 }
 
@@ -207,7 +209,7 @@ def test_native_unavailable_falls_back(monkeypatch):
 def test_shard_actor_split_construction():
     """_BloomShard(layout='split') builds the split layout through both the
     (m, k) mem-spec path (k=10 is dropped — structural k=8) and the
-    capacity path; the layout/blocked conflict guard fires."""
+    capacity path; an unknown layout name is refused."""
     from streammd_ray.stages.dedup import _BloomShard, resolve_layout
 
     sh = _BloomShard(1e-6, 0, m=2**20, k=10, layout="split")
@@ -218,11 +220,8 @@ def test_shard_actor_split_construction():
     assert not sh.add(h1, h2).any()
     sh2 = _BloomShard(1e-6, 10_000, layout="split")
     assert isinstance(sh2.bf, SplitBlockBloomFilter)
-    assert resolve_layout(None, False) is BloomFilter
-    assert resolve_layout(None, True) is BlockedBloomFilter
+    assert resolve_layout(None) is BloomFilter
     assert resolve_layout("split") is SplitBlockBloomFilter
-    with pytest.raises(ValueError, match="conflicts"):
-        resolve_layout("split", blocked=True)
     with pytest.raises(ValueError, match="unknown bloom layout"):
         resolve_layout("sbbf")
 
@@ -314,5 +313,5 @@ def test_checkpoint_resume_guards_layout(ray_session, tmp_path):
             p=1e-9,
             mem="1MiB",
             num_shards=2,
-            bloom_layout="blocked",
+            bloom_layout="classic",
         )

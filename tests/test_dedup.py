@@ -33,6 +33,7 @@ def test_bloom_mark_counts_match_truth(ray_session, fixture_table):
     path, truth = fixture_table
     res = mark_duplicates(rd.read_parquet(path), p=1e-9, num_shards=4)
     got = res.marked.to_pandas()
+    res.release()
     assert len(got) == len(truth)
     assert got["is_duplicate"].sum() == truth["is_duplicate"].sum()
     # null texts are never marked
@@ -48,6 +49,7 @@ def test_bloom_metrics(ray_session, fixture_table):
     path, truth = fixture_table
     res = mark_duplicates(rd.read_parquet(path), p=1e-9, num_shards=4, materialize=True)
     m = compute_metrics(res.marked)
+    res.release()
     assert m["TURNS"] == len(truth)
     assert m["TURNS_NULL_TEXT"] == int(truth["text"].isna().sum())
     assert m["TURNS_MARKED_DUPLICATE"] == int(truth["is_duplicate"].sum())
@@ -71,6 +73,7 @@ def test_remove_duplicates(ray_session, fixture_table):
         rd.read_parquet(path), p=1e-9, num_shards=4, remove_duplicates=True
     )
     kept = res.dataset.to_pandas()
+    res.release()
     n_nonnull_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
     n_null = int(truth["text"].isna().sum())
     assert len(kept) == n_nonnull_distinct + n_null
@@ -98,11 +101,13 @@ def test_strip_previous_semantics(ray_session, tmp_path):
     # default: stale marks survive, real dup added
     res = mark_duplicates(ds, p=1e-9, num_shards=2)
     got = res.marked.to_pandas().sort_values("turn_idx")["is_duplicate"].tolist()
+    res.release()
     assert got == [False, True, True, True]
     # strip_previous: only the real dup stays marked
     ds2 = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
     res2 = mark_duplicates(ds2, p=1e-9, num_shards=2, strip_previous=True)
     got2 = res2.marked.to_pandas().sort_values("turn_idx")["is_duplicate"].tolist()
+    res2.release()
     assert got2 == [False, False, True, False]
 
 
@@ -124,6 +129,7 @@ def test_scope_conversation(ray_session):
     ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
     res = mark_duplicates(ds, p=1e-9, num_shards=2, scope="conversation")
     got = res.marked.to_pandas().sort_values(["conv_id", "turn_idx"])
+    res.release()
     assert got["is_duplicate"].tolist() == [False, True, False, False]
 
 
@@ -143,10 +149,13 @@ def test_capacity_guard(ray_session):
     )
     ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
     res = mark_duplicates(ds, p=1e-3, total_capacity=2048, num_shards=2)
-    res.marked.materialize()
-    with pytest.raises(CapacityExceeded):
-        res.check_capacity()
-    report = res.check_capacity(allow_overcapacity=True)
+    try:
+        res.marked.materialize()
+        with pytest.raises(CapacityExceeded):
+            res.check_capacity()
+        report = res.check_capacity(allow_overcapacity=True)
+    finally:
+        res.release()
     assert report["overcapacity_shards"] == 2
     assert report["max_marginal_fpr"] > 1e-3
 
@@ -156,6 +165,7 @@ def test_merged_filter_estimates(ray_session, fixture_table):
     res = mark_duplicates(rd.read_parquet(path), p=1e-6, num_shards=4)
     res.marked.materialize()
     merged = res.merged_filter()
+    res.release()
     true_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
     assert abs(merged.count_estimate() - true_distinct) / true_distinct < 0.02
 
@@ -190,19 +200,3 @@ def test_validate_conversations(ray_session):
     with pytest.raises(ConversationValidationError, match="monotone"):
         validate_conversations(ds3)
 
-
-def test_exact_first_strategies_equivalent(ray_session, fixture_table):
-    """'join' (two slim exchanges + payload join), 'partition' (one payload
-    shuffle), and 'groups' (per-group reference) must agree cell-for-cell,
-    INCLUDING dtypes — the driver's schema hash sees any divergence."""
-    path, _ = fixture_table
-    outs = {}
-    for s in ("join", "partition", "groups"):
-        df = dedup_exact_first(rd.read_parquet(path), strategy=s).to_pandas()
-        cols = sorted(df.columns)
-        outs[s] = (
-            df[cols].sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-        )
-    assert outs["join"].dtypes.equals(outs["partition"].dtypes)
-    assert outs["join"].equals(outs["partition"])
-    assert outs["join"].equals(outs["groups"])

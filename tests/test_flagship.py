@@ -23,6 +23,7 @@ def data(tmp_path_factory):
 def test_flagship_counters_and_sketches(ray_session, data):
     path, truth = data
     out = run_flagship(rd.read_parquet(path), p=1e-9, num_shards=4)
+    out.mark.release()
     assert out.counters["turns"] == len(truth)
     assert out.counters["nulls"] == int(truth["text"].isna().sum())
     assert out.counters["dups"] == int(truth["is_duplicate"].sum())
@@ -49,6 +50,7 @@ def test_flagship_with_output_dir(ray_session, data, tmp_path):
     out = run_flagship(
         rd.read_parquet(path), p=1e-9, num_shards=4, output_dir=outdir
     )
+    out.mark.release()
     files = glob.glob(outdir + "/*.parquet")
     assert files
     written = rd.read_parquet(outdir).to_pandas()
@@ -76,6 +78,7 @@ def test_flagship_payload_light_equals_full(ray_session):
         generate_transcripts(d, n_turns=20_000, seed=11, dup_frac=0.3, n_files=4)
         full = rd.read_parquet(d, columns=["conv_id", "text", "tool"])
         r_full = run_flagship(full, p=1e-9, num_shards=2)
+        r_full.mark.release()
 
         def slim(t):
             return t.append_column(
@@ -86,6 +89,7 @@ def test_flagship_payload_light_equals_full(ray_session):
             rd.read_parquet(d, columns=["conv_id", "text", "tool"]), ("text",)
         ).map_batches(slim, batch_format="pyarrow", zero_copy_batch=True)
         r_light = run_flagship(light, p=1e-9, num_shards=2)
+        r_light.mark.release()
 
         assert r_light.counters == r_full.counters
         assert round(r_light.sketches["convs_hll"].estimate()) == round(

@@ -82,6 +82,7 @@ def test_bloom_golden_counts(ray_session, name):
     assert m["CONVERSATIONS"] == df["conv_id"].nunique()
     # per-key invariant: exactly one unmarked row per distinct non-null text
     got = res.marked.to_pandas()
+    res.release()
     nn = got[got["text"].notna()]
     assert (nn.groupby("text")["is_duplicate"].agg(lambda s: (~s).sum()) == 1).all()
 
@@ -121,14 +122,14 @@ def test_scope_divergence_conversation_vs_global(ray_session):
     assert not conv.any()
 
     # same divergence through the Bloom engine (count-level)
-    m_glob = compute_metrics(
-        mark_duplicates(_ds(df), p=1e-9, num_shards=2, materialize=True).marked
+    r_glob = mark_duplicates(_ds(df), p=1e-9, num_shards=2, materialize=True)
+    m_glob = compute_metrics(r_glob.marked)
+    r_glob.release()
+    r_conv = mark_duplicates(
+        _ds(df), p=1e-9, num_shards=2, scope="conversation", materialize=True
     )
-    m_conv = compute_metrics(
-        mark_duplicates(
-            _ds(df), p=1e-9, num_shards=2, scope="conversation", materialize=True
-        ).marked
-    )
+    m_conv = compute_metrics(r_conv.marked)
+    r_conv.release()
     assert m_glob["TURNS_MARKED_DUPLICATE"] == 1
     assert m_conv["TURNS_MARKED_DUPLICATE"] == 0
 
@@ -161,6 +162,7 @@ def test_strip_previous_remove_matrix(ray_session, strip, remove):
     assert marked.loc[("c1", 1), "is_duplicate"] == False  # noqa: E712
     assert marked.loc[("c1", 2), "is_duplicate"] == True  # noqa: E712
     out = res.dataset.to_pandas()
+    res.release()
     want_rows = 3 - (1 + (0 if strip else 1)) if remove else 3
     assert len(out) == want_rows
 
@@ -239,6 +241,7 @@ def test_bloom_identity_divergence_documented(ray_session):
     df = _case([(c, t, x, False) for c, t, x, _ in rows])
     res = mark_duplicates(_ds(df), p=1e-9, num_shards=4, materialize=True)
     out = res.marked.to_pandas()
+    res.release()
     survivors = out[~out["is_duplicate"]].groupby("text").size()
     # exactly one survivor per distinct key, every other row marked
     assert (survivors == 1).all()
@@ -605,11 +608,11 @@ def test_megabyte_texts_split_across_blocks(ray_session):
     want = df.set_index(["conv_id", "turn_idx"])["want"]
     assert out.reindex(want.index).tolist() == want.tolist()
 
-    m = compute_metrics(
-        mark_duplicates(
-            _ds(df).repartition(4), p=1e-9, num_shards=2, materialize=True
-        ).marked
+    res = mark_duplicates(
+        _ds(df).repartition(4), p=1e-9, num_shards=2, materialize=True
     )
+    m = compute_metrics(res.marked)
+    res.release()
     assert m["TURNS_MARKED_DUPLICATE"] == 2
 
 
