@@ -6,7 +6,7 @@ Semantics grounded in the reference engine delocalizer/streammd
 duplicate marking, generalized here into five mergeable UDAF sketches (Bloom,
 HyperLogLog, count-min, t-digest, KLL) over Parquet tables of conversation /
 agent transcripts, executed as ray.data.Dataset pipelines of map_batches over
-zero-copy Arrow batches with actor pools for stateful stages.
+zero-copy Arrow batches, with the Bloom state in shard actors.
 """
 
 __version__ = "0.1.0"

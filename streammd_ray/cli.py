@@ -76,23 +76,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def show_capacity(args) -> dict:
-    from .sketches.bloom import DEFAULT_MEM_K, capacity, parse_memspec
+    from .sketches.bloom import capacity, parse_memspec
+    from .stages.dedup import shard_geometry
 
-    nbytes = parse_memspec(args.mem)
-    total_m = 8 * nbytes
-    per_m = 1 << ((total_m // args.num_shards).bit_length() - 1)
-    info = {
+    per_m, k = shard_geometry(args.mem, args.num_shards, args.bloom_layout)
+    per_shard = capacity(args.fp_rate, per_m, k)
+    return {
         "fp_rate": args.fp_rate,
         "mem": args.mem,
-        "mem_bytes": nbytes,
+        "mem_bytes": parse_memspec(args.mem),
         "num_shards": args.num_shards,
         "bits_per_shard_pow2": per_m,
-        "k": DEFAULT_MEM_K,
-        "capacity_per_shard": capacity(args.fp_rate, per_m, DEFAULT_MEM_K),
-        "capacity_total": args.num_shards
-        * capacity(args.fp_rate, per_m, DEFAULT_MEM_K),
+        "k": k,
+        "capacity_per_shard": per_shard,
+        "capacity_total": args.num_shards * per_shard,
     }
-    return info
 
 
 def main(argv=None) -> int:

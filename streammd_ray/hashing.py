@@ -1,35 +1,19 @@
 """Hashing primitives for the sketch engine.
 
-Two layers:
-
-- ``murmur3_x64_128`` — a pure-Python MurmurHash3 x64/128 (Austin Appleby's
-  public-domain algorithm). Used as the *reference* scalar hasher: the k Bloom
-  probe indices are derived from its two 64-bit halves via Kirsch–Mitzenmacher
-  double hashing, exactly the scheme the reference engine uses with XXH3-64
-  seeds 43/9967 (see /root/reference/src/bloomfilter.cxx:104-120; hash family
-  is pluggable there too — we keep the double-hashing + pow2-mask structure and
-  swap the base hash per the rebuild spec).
-
-- ``hash64_batch`` — the vectorized bulk path: hashes a whole Arrow / numpy
-  column of strings to uint64 in one call. Implemented on polars'
-  ``Series.hash`` (xxhash-family, seeded, vectorized in native code) with a
-  pure-Python murmur3 fallback when polars is unavailable. All sketch state is
-  tagged with the hasher name + seeds so merges across partitions are only
-  permitted between sketches built with the identical hash configuration.
+``hash64_batch`` hashes a whole Arrow / numpy column of strings to uint64 in
+one call, on polars' ``Series.hash`` (xxhash-family, seeded, vectorized in
+native code). ``hash_pair_batch`` gives the two seeded streams (h1, h2) from
+which the k Bloom probe indices are derived by Kirsch–Mitzenmacher double
+hashing — the scheme the reference engine uses with XXH3-64 seeds 43/9967
+(see /root/reference/src/bloomfilter.cxx:104-120). All sketch state is
+tagged with the hasher name + seeds so merges across partitions are only
+permitted between sketches built with the identical hash configuration.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-
-try:  # vectorized bulk hasher
-    import polars as pl
-
-    _HAS_POLARS = True
-except ImportError:  # pragma: no cover - polars is baked into the image
-    _HAS_POLARS = False
+import polars as pl
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -39,77 +23,7 @@ SEED_A = 43
 SEED_B = 9967
 
 
-def _rotl64(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & MASK64
-
-
-def _fmix64(k: int) -> int:
-    k ^= k >> 33
-    k = (k * 0xFF51AFD7ED558CCD) & MASK64
-    k ^= k >> 33
-    k = (k * 0xC4CEB9FE1A85EC53) & MASK64
-    k ^= k >> 33
-    return k
-
-
-def murmur3_x64_128(data: bytes, seed: int = 0) -> tuple[int, int]:
-    """MurmurHash3 x64/128 of ``data``. Returns the two 64-bit halves.
-
-    Pure Python; use only for scalar lookups and tests — the batch path is
-    :func:`hash64_batch`.
-    """
-    c1 = 0x87C37B91114253D5
-    c2 = 0x4CF5AD432745937F
-    h1 = seed & MASK64
-    h2 = seed & MASK64
-    length = len(data)
-    nblocks = length // 16
-
-    for i in range(nblocks):
-        k1, k2 = struct.unpack_from("<QQ", data, i * 16)
-        k1 = (k1 * c1) & MASK64
-        k1 = _rotl64(k1, 31)
-        k1 = (k1 * c2) & MASK64
-        h1 ^= k1
-        h1 = _rotl64(h1, 27)
-        h1 = (h1 + h2) & MASK64
-        h1 = (h1 * 5 + 0x52DCE729) & MASK64
-        k2 = (k2 * c2) & MASK64
-        k2 = _rotl64(k2, 33)
-        k2 = (k2 * c1) & MASK64
-        h2 ^= k2
-        h2 = _rotl64(h2, 31)
-        h2 = (h2 + h1) & MASK64
-        h2 = (h2 * 5 + 0x38495AB5) & MASK64
-
-    tail = data[nblocks * 16 :]
-    k1 = k2 = 0
-    tl = len(tail)
-    if tl >= 9:
-        k2 = int.from_bytes(tail[8:], "little")
-        k2 = (k2 * c2) & MASK64
-        k2 = _rotl64(k2, 33)
-        k2 = (k2 * c1) & MASK64
-        h2 ^= k2
-    if tl > 0:
-        k1 = int.from_bytes(tail[:8], "little")
-        k1 = (k1 * c1) & MASK64
-        k1 = _rotl64(k1, 31)
-        k1 = (k1 * c2) & MASK64
-        h1 ^= k1
-
-    h1 ^= length
-    h2 ^= length
-    h1 = (h1 + h2) & MASK64
-    h2 = (h2 + h1) & MASK64
-    h1 = _fmix64(h1)
-    h2 = _fmix64(h2)
-    h1 = (h1 + h2) & MASK64
-    h2 = (h2 + h1) & MASK64
-    return h1, h2
-
-
-def _to_polars_series(values) -> "pl.Series":
+def _to_polars_series(values) -> pl.Series:
     import pyarrow as pa
 
     if isinstance(values, pl.Series):
@@ -126,20 +40,11 @@ def hash64_batch(values, seed: int = SEED_A) -> np.ndarray:
     result (a null dedup key is never inserted; it is only counted, mirroring
     the reference's unmapped handling at /root/reference/src/markdups.cxx:110-112).
     """
-    if _HAS_POLARS:
-        s = _to_polars_series(values)
-        hashed = s.hash(seed=seed & MASK64)
-        out = hashed.to_numpy().astype(np.uint64, copy=False).copy()
-        if s.null_count():
-            out[s.is_null().to_numpy()] = 0
-        return out
-    # fallback: pure-python murmur3 loop
-    out = np.zeros(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        if v is None:
-            continue
-        b = v if isinstance(v, bytes) else str(v).encode("utf-8")
-        out[i] = murmur3_x64_128(b, seed)[0]
+    s = _to_polars_series(values)
+    hashed = s.hash(seed=seed & MASK64)
+    out = hashed.to_numpy().astype(np.uint64, copy=False).copy()
+    if s.null_count():
+        out[s.is_null().to_numpy()] = 0
     return out
 
 
@@ -153,7 +58,7 @@ def valid_mask(values) -> np.ndarray | None:
         if isinstance(values, pa.ChunkedArray):
             values = values.combine_chunks()
         return np.asarray(values.is_valid())
-    if _HAS_POLARS and isinstance(values, pl.Series):
+    if isinstance(values, pl.Series):
         if values.null_count() == 0:
             return None
         return (~values.is_null()).to_numpy()
@@ -170,4 +75,4 @@ def hash_pair_batch(values, seed_a: int = SEED_A, seed_b: int = SEED_B):
     return h1, h2
 
 
-HASHER_ID = f"polars-xxh:{pl.__version__}" if _HAS_POLARS else "murmur3-py"
+HASHER_ID = f"polars-xxh:{pl.__version__}"

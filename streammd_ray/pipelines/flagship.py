@@ -22,8 +22,9 @@ import pyarrow.compute as pc
 
 from ..sketches import KLL, CountMinSketch, HyperLogLog, TDigest
 from ..sketches.base import Sketch
+from ..stages.dedup import MARK_COL
 from ..stages.sketch_agg import tree_merge
-from .mark_duplicates import MarkResult, mark_duplicates
+from .mark_duplicates import MarkResult, mark_duplicates, metrics_json
 
 
 def default_sketch_specs() -> dict[str, tuple[str, Sketch]]:
@@ -49,17 +50,8 @@ class SketchTail:
     idempotently) BEFORE sketching — mark + sketch + persist in ONE pass
     with no whole-table materialization, the 100-TB-shaped write path."""
 
-    def __init__(
-        self,
-        specs_bytes: bytes,
-        *,
-        text_col: str = "text",
-        mark_col: str = "is_duplicate",
-        output_dir: str | None = None,
-    ):
+    def __init__(self, specs_bytes: bytes, *, output_dir: str | None = None):
         self.protos = pickle.loads(specs_bytes)
-        self.text_col = text_col
-        self.mark_col = mark_col
         self.output_dir = output_dir
         self._ordinals: dict = {}
 
@@ -99,16 +91,9 @@ class SketchTail:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output_dir is not None:
             self._write_part(batch)
-        # payload-light inputs carry a precomputed '__len' (null where the
-        # text was null) instead of the text column itself
-        len_src = (
-            batch["__len"]
-            if self.text_col not in batch.column_names
-            else pc.utf8_length(batch[self.text_col])
-        )
-        lens = pc.cast(pc.fill_null(len_src, 0), pa.float64()).to_numpy(
-            zero_copy_only=False
-        )
+        lens = pc.cast(
+            pc.fill_null(pc.utf8_length(batch["text"]), 0), pa.float64()
+        ).to_numpy(zero_copy_only=False)
         # Column-level pre-aggregation: one value_counts per source column
         # feeds every weighted-capable sketch on it. The tail was the map
         # side's CPU hog (3.56 s per 2M-row block, ~90% of the 512M-turn
@@ -150,13 +135,8 @@ class SketchTail:
             names.append(name)
             states.append(sk.to_bytes())
         names.append("__counts")
-        n_dups = int(pc.sum(pc.cast(batch[self.mark_col], "int64")).as_py() or 0)
-        null_src = (
-            batch["__len"]
-            if self.text_col not in batch.column_names
-            else batch[self.text_col]
-        )
-        n_null = int(pc.sum(pc.cast(pc.is_null(null_src), "int64")).as_py() or 0)
+        n_dups = int(pc.sum(pc.cast(batch[MARK_COL], "int64")).as_py() or 0)
+        n_null = batch["text"].null_count
         states.append(pickle.dumps((len(batch), n_dups, n_null)))
         return pa.table(
             {
@@ -172,7 +152,7 @@ class _FirstSeenSinkTail(SketchTail):
 
     def _write_part(self, batch: pa.Table) -> None:
         super()._write_part(
-            batch.filter(pc.invert(batch[self.mark_col].combine_chunks()))
+            batch.filter(pc.invert(batch[MARK_COL].combine_chunks()))
         )
 
 
@@ -195,23 +175,17 @@ class FlagshipResult:
 
     def metrics(self) -> dict:
         """The reference's metrics JSON, CONVERSATIONS via the ridden HLL."""
-        turns = self.counters["turns"]
-        nulls = self.counters["nulls"]
-        dups = self.counters["dups"]
-        denom = turns - nulls
-        return {
-            "TURNS": turns,
-            "TURNS_NULL_TEXT": nulls,
-            "TURNS_MARKED_DUPLICATE": dups,
-            "CONVERSATIONS": round(self.sketches["convs_hll"].estimate()),
-            "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
-        }
+        return metrics_json(
+            self.counters["turns"],
+            self.counters["nulls"],
+            self.counters["dups"],
+            round(self.sketches["convs_hll"].estimate()),
+        )
 
 
 def run_flagship(
     ds,
     *,
-    specs: dict[str, tuple[str, Sketch]] | None = None,
     p: float = 1e-6,
     mem: str | None = "256MiB",
     num_shards: int = 8,
@@ -235,8 +209,7 @@ def run_flagship(
         batch_size=batch_size,
         **mark_kwargs,
     )
-    sketch_specs = specs or default_sketch_specs()
-    packed = pickle.dumps(sketch_specs)
+    packed = pickle.dumps(default_sketch_specs())
     # tail as a plain FUNCTION (stateless tasks): Ray fuses it with the
     # preceding task-based 'finish' stage into one operator, so the marked
     # blocks never make an extra object-store hop through a separate actor

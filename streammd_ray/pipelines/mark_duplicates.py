@@ -20,16 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import SEED_A, SEED_B
 from ..sketches.base import merge_all
 from ..sketches.bloom import BloomFilter
 from ..stages.dedup import (
     KEY_H1,
     KEY_H2,
+    MARK_COL,
     add_key_columns,
     make_mark_fn,
     make_shard_actors,
@@ -102,8 +101,6 @@ def mark_duplicates(
     batch_size: int | None = None,
     remove_duplicates: bool = False,
     strip_previous: bool = False,
-    mark_col: str = "is_duplicate",
-    seeds: tuple[int, int] = (SEED_A, SEED_B),
     shards: list | None = None,
     materialize: bool = False,
     bloom_layout: str | None = None,
@@ -111,8 +108,8 @@ def mark_duplicates(
     """Mark duplicate turns with a partitioned Bloom filter.
 
     scope='global' dedups on the content key alone (cross-conversation);
-    scope='conversation' prepends conv_id to the key — the analog of the
-    reference's per-template grouping (each conversation dedups its own
+    scope='conversation' appends conv_id to the key columns — the analog of
+    the reference's per-template grouping (each conversation dedups its own
     turns). ``shards`` lets a resumable driver pass pre-loaded actors; their
     layout was fixed at spawn, so ``bloom_layout`` is then ignored.
 
@@ -126,15 +123,16 @@ def mark_duplicates(
     freely afterwards.
     """
     if scope == "conversation":
-        key_cols = ("text", "conv_id") if "conv_id" not in key_cols else key_cols
+        if "conv_id" not in key_cols:
+            key_cols = (*key_cols, "conv_id")
     elif scope != "global":
         raise ValueError(f"unknown scope: {scope}")
 
-    had_mark = mark_col in ds.schema().names
+    had_mark = MARK_COL in ds.schema().names
     if had_mark:
         ds = ds.map_batches(
             lambda t: t.rename_columns(
-                [c if c != mark_col else "__prev_mark" for c in t.column_names]
+                [c if c != MARK_COL else "__prev_mark" for c in t.column_names]
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -148,7 +146,6 @@ def mark_duplicates(
             p=p,
             total_capacity=total_capacity,
             mem=mem,
-            seeds=seeds,
             # probe layout: classic (None) / split (sketches/bloom.py) —
             # same dedup semantics, different kernel shape
             layout=bloom_layout,
@@ -158,20 +155,20 @@ def mark_duplicates(
         # intentional, so lift any seal from the previous wave's consumption
         ray.get([s.unseal.remote() for s in shards])
 
-    keyed = add_key_columns(ds, key_cols, seeds=seeds)
+    keyed = add_key_columns(ds, key_cols)
     # The mark stage itself is stateless (all state lives in the shard
     # actors), so it runs as a plain function closing over the shard
     # handles: Ray fuses read → derive → mark → finish into ONE task chain
     # with no actor pool to spawn or budget CPUs for.
     marked = keyed.map_batches(
-        make_mark_fn(shards, mark_col=mark_col),
+        make_mark_fn(shards),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        new = t[mark_col].combine_chunks()
+        new = t[MARK_COL].combine_chunks()
         if had_mark:
             prev = t["__prev_mark"].combine_chunks()
             if not strip_previous:
@@ -179,8 +176,8 @@ def mark_duplicates(
                 new = pc.or_kleene(pc.fill_null(prev, False), new)
             # strip_previous: prior marks cleared unless re-marked now
             t = t.drop_columns(["__prev_mark"])
-        i = t.schema.get_field_index(mark_col)
-        return t.set_column(i, mark_col, new).drop_columns([KEY_H1, KEY_H2])
+        i = t.schema.get_field_index(MARK_COL)
+        return t.set_column(i, MARK_COL, new).drop_columns([KEY_H1, KEY_H2])
 
     marked = marked.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
     if materialize:
@@ -193,7 +190,7 @@ def mark_duplicates(
     out = marked
     if remove_duplicates:
         out = marked.map_batches(
-            lambda t: t.filter(pc.invert(t[mark_col].combine_chunks())),
+            lambda t: t.filter(pc.invert(t[MARK_COL].combine_chunks())),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
@@ -209,23 +206,27 @@ def mark_duplicates(
             "mem": mem,
             "total_capacity": total_capacity,
             "num_shards": len(shards),
-            "seeds": seeds,
             "remove_duplicates": remove_duplicates,
             "strip_previous": strip_previous,
         },
     )
 
 
-def compute_metrics(
-    marked,
-    *,
-    mark_col: str = "is_duplicate",
-    content_col: str = "text",
-    conv_col: str = "conv_id",
-    exact_conversations: bool = True,
-) -> dict:
-    """The six-field metrics JSON, generalized from the reference's
-    (src/markdups.cxx:202-234; field mapping in FIXTURES.md F4).
+def metrics_json(turns: int, nulls: int, dups: int, conversations: int) -> dict:
+    """The reference's five-field metrics JSON (src/markdups.cxx:202-234;
+    field mapping in FIXTURES.md F4)."""
+    denom = turns - nulls
+    return {
+        "TURNS": turns,
+        "TURNS_NULL_TEXT": nulls,
+        "TURNS_MARKED_DUPLICATE": dups,
+        "CONVERSATIONS": conversations,
+        "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
+    }
+
+
+def compute_metrics(marked, *, exact_conversations: bool = True) -> dict:
+    """:func:`metrics_json` of a marked dataset.
 
     One aggregation pass for the counters; CONVERSATIONS is exact (a distinct
     shuffle — fine at validation scale) or an HLL estimate (the 10^12-turn
@@ -242,21 +243,20 @@ def compute_metrics(
         {
             "turns": lambda t: len(t),
             "nulls": lambda t: int(
-                pc.sum(pc.cast(pc.is_null(t[content_col]), "int64")).as_py() or 0
+                pc.sum(pc.cast(pc.is_null(t["text"]), "int64")).as_py() or 0
             ),
             "dups": lambda t: int(
-                pc.sum(pc.cast(t[mark_col], "int64")).as_py() or 0
+                pc.sum(pc.cast(t[MARK_COL], "int64")).as_py() or 0
             ),
         },
     )
-    turns, nulls, dups = int(agg["turns"]), int(agg["nulls"]), int(agg["dups"])
 
     if exact_conversations:
         from ray.data.aggregate import Count
 
         n_convs = (
-            marked.select_columns([conv_col])
-            .groupby(conv_col)
+            marked.select_columns(["conv_id"])
+            .groupby("conv_id")
             .aggregate(Count(alias_name="n"))
             .count()
         )
@@ -264,14 +264,8 @@ def compute_metrics(
         from ..sketches.hll import HyperLogLog
         from ..stages.sketch_agg import sketch_column
 
-        n_convs = round(sketch_column(marked, conv_col, HyperLogLog()).estimate())
+        n_convs = round(sketch_column(marked, "conv_id", HyperLogLog()).estimate())
 
-    denom = turns - nulls
-    frac = round(dups / denom, 4) if denom else 0.0
-    return {
-        "TURNS": turns,
-        "TURNS_NULL_TEXT": nulls,
-        "TURNS_MARKED_DUPLICATE": dups,
-        "CONVERSATIONS": n_convs,
-        "TURN_DUPLICATE_FRACTION": frac,
-    }
+    return metrics_json(
+        int(agg["turns"]), int(agg["nulls"]), int(agg["dups"]), n_convs
+    )

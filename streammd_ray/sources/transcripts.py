@@ -110,7 +110,7 @@ def _read_parquet_clean(paths, **kwargs):
     return read_parquet_clean(paths, **kwargs)
 
 
-def derive_transcripts(sf_dir: str, *, ray_remote_args: dict | None = None):
+def derive_transcripts(sf_dir: str):
     """events + documents → transcripts as a ray.data.Dataset.
 
     Plan: read events (pruned columns) → groupby(user_id).map_groups to assign
@@ -120,7 +120,6 @@ def derive_transcripts(sf_dir: str, *, ray_remote_args: dict | None = None):
     never re-shipped per batch).
     """
     import ray
-    import ray.data as rd
 
     texts, ndocs = _doc_lookup(sf_dir)
     texts_ref = ray.put(texts)
@@ -188,9 +187,7 @@ def derive_transcripts(sf_dir: str, *, ray_remote_args: dict | None = None):
             schema=TRANSCRIPTS_SCHEMA,
         )
 
-    return ds.map_batches(
-        attach_text, batch_format="pandas", **(ray_remote_args or {})
-    )
+    return ds.map_batches(attach_text, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

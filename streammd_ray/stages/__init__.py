@@ -12,7 +12,6 @@ from .sketch_agg import (
     CmsAgg,
     HllAgg,
     KllAgg,
-    MultiSketchStage,
     SketchAgg,
     TDigestAgg,
     run_sketches,
@@ -28,7 +27,6 @@ __all__ = [
     "canonical_key",
     "dedup_exact_first",
     "make_shard_actors",
-    "MultiSketchStage",
     "run_sketches",
     "sketch_column",
     "tree_merge",

@@ -40,11 +40,20 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import SEED_A, SEED_B, hash_pair_batch
-from ..sketches.bloom import BloomFilter, SplitBlockBloomFilter
+from ..hashing import hash_pair_batch
+from ..sketches.bloom import (
+    DEFAULT_MEM_K,
+    BloomFilter,
+    SplitBlockBloomFilter,
+    parse_memspec,
+)
 
 KEY_H1 = "__key_h1"
 KEY_H2 = "__key_h2"
+#: the appended verdict column (the reference's FLAG|=1024)
+MARK_COL = "is_duplicate"
+#: first-seen order of the exact path: first = min over these per key
+ORDER_COLS = ("conv_id", "turn_idx")
 
 #: probe-layout registry (see _BloomShard.__init__ for the semantics)
 BLOOM_LAYOUTS = {"classic": BloomFilter, "split": SplitBlockBloomFilter}
@@ -61,14 +70,16 @@ def resolve_layout(layout: str | None):
     return BLOOM_LAYOUTS[layout]
 
 
-# Arrow field-metadata key recording which (key_cols, seeds) produced the
-# stored hash columns — checked on passthrough so a pipeline can't silently
-# dedup pre-hashed data on the wrong key spec.
-_KEY_SPEC_META = b"streammd.key_spec"
-
-
-def _key_spec(key_cols: tuple[str, ...], seeds: tuple[int, int]) -> str:
-    return f"cols={','.join(key_cols)};seeds={seeds[0]:x},{seeds[1]:x}"
+def shard_geometry(mem: str, num_shards: int, layout: str | None = None):
+    """Per-shard (m, k) of a ``mem`` budget split evenly over ``num_shards``:
+    m is the shard's share in bits rounded down to a power of two (pow2
+    addressing), k is 10 for the classic layout and the split layout's
+    structural 8."""
+    per_m = 8 * parse_memspec(mem) // num_shards
+    per_m = 1 << (per_m.bit_length() - 1)
+    if resolve_layout(layout) is SplitBlockBloomFilter:
+        return per_m, SplitBlockBloomFilter.LANES
+    return per_m, DEFAULT_MEM_K
 
 
 def canonical_key(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Array:
@@ -97,56 +108,16 @@ def canonical_key(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Array:
     return out
 
 
-def add_key_columns(
-    ds,
-    key_cols: tuple[str, ...] = ("text",),
-    *,
-    seeds: tuple[int, int] = (SEED_A, SEED_B),
-):
-    """Append the (h1, h2) dedup-key hash columns (uint64; 0 = null key).
-
-    Batches that already carry the key columns pass through — this lets a
-    pipeline run over a pre-hashed table (e.g. a payload-light derivative
-    where the text column was dropped after hashing) without a separate
-    code path. The passthrough is NOT blind (round-3 advice #2): when the
-    stored KEY_H1 field carries a key-spec annotation, or when the requested
-    key columns are still present so the hash can be spot-recomputed, a
-    (key_cols, seeds) mismatch raises instead of silently deduping on the
-    wrong key."""
-    spec = _key_spec(key_cols, seeds)
-
-    def _recompute(batch: pa.Table, rows: int = 4) -> None:
-        head = batch.slice(0, min(rows, batch.num_rows))
-        key = canonical_key(head, key_cols)
-        h1, _ = hash_pair_batch(key, *seeds)
-        h1 = h1.copy()
-        h1[np.asarray(pc.is_null(key))] = 0
-        stored = np.asarray(head[KEY_H1], dtype=np.int64).view(np.uint64)
-        if not np.array_equal(h1, stored):
-            raise ValueError(
-                f"pre-existing {KEY_H1}/{KEY_H2} columns were hashed with a "
-                f"different key spec than the requested {spec} — refusing to "
-                "dedup on mismatched keys"
-            )
+def add_key_columns(ds, key_cols: tuple[str, ...] = ("text",)):
+    """Append the (h1, h2) dedup-key hash columns (uint64 bit patterns;
+    0 = null key). The engine dedups only on keys it derived itself: a batch
+    that already carries the reserved key columns is refused."""
 
     def derive(batch: pa.Table) -> pa.Table:
-        if KEY_H1 in batch.column_names and KEY_H2 in batch.column_names:
-            field = batch.field(KEY_H1)
-            stored_spec = (field.metadata or {}).get(_KEY_SPEC_META)
-            if stored_spec is not None:
-                if stored_spec.decode() != spec:
-                    raise ValueError(
-                        f"pre-existing {KEY_H1} was derived with key spec "
-                        f"{stored_spec.decode()!r} but this stage requested "
-                        f"{spec!r} — refusing to dedup on mismatched keys"
-                    )
-            elif all(c in batch.column_names for c in key_cols):
-                _recompute(batch)
-            # else: key columns dropped upstream (payload-light table) and no
-            # annotation to check — the caller owns the spec contract
-            return batch
+        if {KEY_H1, KEY_H2} & set(batch.column_names):
+            raise ValueError(f"input carries reserved columns {KEY_H1}/{KEY_H2}")
         key = canonical_key(batch, key_cols)
-        h1, h2 = hash_pair_batch(key, *seeds)
+        h1, h2 = hash_pair_batch(key)
         null_mask = np.asarray(pc.is_null(key))
         h1 = h1.copy()
         h1[null_mask] = 0
@@ -154,8 +125,7 @@ def add_key_columns(
         # trip int64 through Arrow cleanly, while uint64 > 2^63 falls back to
         # pickled Python objects (stages view back to uint64 for arithmetic)
         return batch.append_column(
-            pa.field(KEY_H1, pa.int64(), metadata={_KEY_SPEC_META: spec}),
-            pa.array(h1.view(np.int64), pa.int64()),
+            KEY_H1, pa.array(h1.view(np.int64), pa.int64())
         ).append_column(KEY_H2, pa.array(h2.view(np.int64), pa.int64()))
 
     return ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
@@ -177,7 +147,6 @@ class _BloomShard:
         *,
         m: int | None = None,
         k: int | None = None,
-        seeds=(SEED_A, SEED_B),
         layout: str | None = None,
     ):
         # layout: probe geometry of this shard's filter —
@@ -189,13 +158,13 @@ class _BloomShard:
         # Each layout's stats() report its own honest marginal_fpr.
         cls = resolve_layout(layout)
         if cls is SplitBlockBloomFilter:
-            k = None  # structural k=8; mem-spec callers pass k=10
+            k = None  # structural k=8
         if m is not None and k is not None:
-            self.bf = cls(p, m=m, k=k, seeds=seeds)
+            self.bf = cls(p, m=m, k=k)
         elif m is not None:
-            self.bf = cls(p, m=m, seeds=seeds)
+            self.bf = cls(p, m=m)
         else:
-            self.bf = cls(p, capacity, seeds=seeds)
+            self.bf = cls(p, capacity)
         import collections
 
         self.keys_seen = 0
@@ -286,19 +255,18 @@ def make_shard_actors(
     p: float = 1e-6,
     total_capacity: int | None = None,
     mem: str | None = None,
-    seeds=(SEED_A, SEED_B),
-    num_cpus: float = 0,
     layout: str | None = None,
 ):
     """Create the P Bloom shard actors.
 
-    Sizing: the total memory/capacity budget is split evenly across shards;
-    keys route by ``h1 mod P``, so shard i holds ~n/P keys and honors the
-    configured FPR p at its share (SURVEY.md §7.3 FPR accounting). P is fixed
+    Sizing: the total memory/capacity budget is split evenly across shards
+    (:func:`shard_geometry` for a ``mem`` budget); keys route by
+    ``h1 mod P``, so shard i holds ~n/P keys and honors the configured FPR
+    p at its share (SURVEY.md §7.3 FPR accounting). P is fixed
     for the run and recorded in lineage — state partition count must be
     deterministic, never autoscaled.
 
-    ``num_cpus=0`` (default): the shards are short-burst RPC servers driven
+    The shards reserve no CPU: they are short-burst RPC servers driven
     by the marking tasks, which hold the real CPU slots; a fractional
     reservation per always-resident actor deadlocks small clusters once a
     few pipelines have run in one session (reservations outlive the
@@ -306,16 +274,11 @@ def make_shard_actors(
     """
     import ray
 
-    from ..sketches.bloom import DEFAULT_MEM_K, parse_memspec
-
-    Actor = ray.remote(num_cpus=num_cpus)(_BloomShard)
-    kwargs: dict = {"seeds": seeds, "layout": layout}
+    Actor = ray.remote(num_cpus=0)(_BloomShard)
+    kwargs: dict = {"layout": layout}
     if mem is not None:
-        total_m = 8 * parse_memspec(mem)
-        per_m = total_m // num_shards
-        # keep pow2 addressing when the split allows it
-        per_m = 1 << (per_m.bit_length() - 1)
-        kwargs.update(m=per_m, k=DEFAULT_MEM_K)
+        m, k = shard_geometry(mem, num_shards, layout)
+        kwargs.update(m=m, k=k)
         cap = 0
     else:
         cap = max(1024, int((total_capacity or 1_000_000) / num_shards))
@@ -331,10 +294,9 @@ class BloomMarkStage:
     built once per map worker, not per batch.
     """
 
-    def __init__(self, shards, *, mark_col: str = "is_duplicate"):
+    def __init__(self, shards):
         self.shards = shards
         self.P = len(shards)
-        self.mark_col = mark_col
         # batch ordinal per physical Ray task ATTEMPT: a retried task re-runs
         # under the SAME task id (possibly in the same still-alive worker
         # process), so ordinals are reset whenever a task id re-enters under a
@@ -393,10 +355,10 @@ class BloomMarkStage:
                 spans.append(rows)
             for rows, was_new in zip(spans, ray.get(futures)):
                 is_dup[rows] = ~was_new
-        return batch.append_column(self.mark_col, pa.array(is_dup))
+        return batch.append_column(MARK_COL, pa.array(is_dup))
 
 
-def make_mark_fn(shards, *, mark_col: str = "is_duplicate"):
+def make_mark_fn(shards):
     """Task-based marking: a plain FUNCTION closing over the shard handles,
     so Ray Data runs it as stateless tasks that FUSE with the surrounding
     map_batches stages (read → derive → mark → finish → tail become ONE
@@ -409,7 +371,7 @@ def make_mark_fn(shards, *, mark_col: str = "is_duplicate"):
     def mark_fn(batch: pa.Table) -> pa.Table:
         stage = holder.get("stage")
         if stage is None:
-            stage = holder["stage"] = BloomMarkStage(shards, mark_col=mark_col)
+            stage = holder["stage"] = BloomMarkStage(shards)
         return stage(batch)
 
     return mark_fn
@@ -477,13 +439,10 @@ def dedup_exact_first(
     ds,
     key_cols: tuple[str, ...] = ("text",),
     *,
-    order_cols: tuple[str, ...] = ("conv_id", "turn_idx"),
-    mark_col: str = "is_duplicate",
-    drop_key_cols: bool = True,
     num_partitions: int | None = None,
 ):
     """Exact first-seen-wins duplicate marking, deterministic under any
-    partition layout: first = min(order_cols) per distinct key.
+    partition layout: first = min(conv_id, turn_idx) per distinct key.
 
     ONE payload shuffle total: hash-partition the full rows by h1 and mark
     first-occurrence per partition with a single sort + vectorized
@@ -510,8 +469,8 @@ def dedup_exact_first(
         if (h1 == 0).any():
             salt, _ = hash_pair_batch(
                 pc.binary_join_element_wise(
-                    pc.cast(batch[order_cols[0]].combine_chunks(), pa.string()),
-                    pc.cast(batch[order_cols[1]].combine_chunks(), pa.string()),
+                    pc.cast(batch[ORDER_COLS[0]].combine_chunks(), pa.string()),
+                    pc.cast(batch[ORDER_COLS[1]].combine_chunks(), pa.string()),
                     "\x00",
                 )
             )
@@ -527,18 +486,17 @@ def dedup_exact_first(
 
     ds = add_key_columns(ds, key_cols)
     ds = ds.map_batches(salt_nulls, batch_format="pyarrow")
-    order_list = list(order_cols)
 
     from .windows import partitioned_group_apply
 
     def mark_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(order_list, kind="stable")
+        df = df.sort_values(list(ORDER_COLS), kind="stable")
         nn = ~df["__key_null"].to_numpy()
         dup = np.zeros(len(df), dtype=bool)
         if nn.any():
             sub = df.loc[nn, [KEY_H1, KEY_H2]]
             dup[nn] = sub.duplicated(keep="first").to_numpy()
-        df[mark_col] = dup
+        df[MARK_COL] = dup
         return df.drop(columns=[KEY_H1, KEY_H2, "__key_null"])
 
     return partitioned_group_apply(

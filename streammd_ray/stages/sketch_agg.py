@@ -1,12 +1,12 @@
 """Sketch aggregation stages — every sketch usable two ways:
 
-1. **Scan path** (:class:`MultiSketchStage` / :func:`sketch_column`): one
-   ``map_batches`` pass emits one serialized partial sketch per block; a tree
-   reduction (:func:`tree_merge`, Ray tasks fanning in ``MERGE_FANIN`` at a
-   time) folds the partials. This is the 10^12-turn path — per-block state is
-   a few KB–MB, nothing materializes the dataset, and the reduction is
-   O(log P) depth regardless of partition count/order (merge associativity,
-   north_rule).
+1. **Scan path** (:func:`run_sketches` / :func:`sketch_column`): one fused
+   ``map_batches`` task pass emits one serialized partial per batch and
+   sketch; a tree reduction (:func:`tree_merge`, Ray tasks fanning in
+   ``MERGE_FANIN`` at a time) folds the partials. This is the 10^12-turn
+   path — per-block state is a few KB–MB, nothing materializes the dataset,
+   and the reduction is O(log P) depth regardless of partition count/order
+   (merge associativity, north_rule).
 
 2. **UDAF path** (:class:`HllAgg` etc., subclasses of Ray's
    ``AggregateFnV2``): drop-in for ``ds.aggregate(...)`` and
@@ -15,6 +15,8 @@
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -34,50 +36,11 @@ def _column(batch: pa.Table, col: str):
     return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
 
 
-class MultiSketchStage:
-    """One scan, many sketches: ``specs`` maps output name → (column, sketch
-    prototype). Emits ONE row per input batch with each sketch's partial
-    state — the five-sketch single-pass of SURVEY.md §7.1 step 3.
-
-    Prototypes are pickled once into the actor (``__init__``), cloned per
-    batch via serde so every emitted partial is independent and mergeable.
-    """
-
-    def __init__(self, specs: dict[str, tuple[str, bytes]]):
-        import pickle
-
-        self.specs = {
-            name: (col, pickle.loads(proto_bytes))
-            for name, (col, proto_bytes) in specs.items()
-        }
-
-    @staticmethod
-    def make_specs(specs: dict[str, tuple[str, Sketch]]) -> dict:
-        import pickle
-
-        return {
-            name: (col, pickle.dumps(proto)) for name, (col, proto) in specs.items()
-        }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        names, states, rows = [], [], len(batch)
-        for name, (col, proto) in self.specs.items():
-            sk = type(proto).from_bytes(proto.to_bytes())  # fresh clone
-            values = _column(batch, col)
-            if isinstance(sk, (TDigest, KLL)):
-                v = values.to_numpy(zero_copy_only=False)
-                sk.insert_batch(np.asarray(v, dtype=np.float64))
-            else:
-                sk.insert_batch(values)
-            names.append(name)
-            states.append(sk.to_bytes())
-        return pa.table(
-            {
-                "sketch": pa.array(names, pa.string()),
-                "state": pa.array(states, pa.binary()),
-                "rows": pa.array([rows] * len(names), pa.int64()),
-            }
-        )
+def _insert_column(sk: Sketch, values) -> None:
+    """Insert one Arrow column; the quantile sketches take it as float64."""
+    if isinstance(sk, (TDigest, KLL)):
+        values = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64)
+    sk.insert_batch(values)
 
 
 def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
@@ -86,8 +49,6 @@ def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
     Small lists fold on the driver; larger lists reduce in rounds of
     ``fanin`` so no single process deserializes every partial.
     """
-    import pickle
-
     import ray
 
     if not states:
@@ -107,22 +68,37 @@ def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
     return merge_all([pickle.loads(s) for s in states])
 
 
-def run_sketches(
-    ds, specs: dict[str, tuple[str, Sketch]], *, concurrency: int | tuple = (1, 8)
-) -> dict[str, Sketch]:
-    """Execute the one-scan multi-sketch pass and return merged sketches.
+def run_sketches(ds, specs: dict[str, tuple[str, Sketch]]) -> dict[str, Sketch]:
+    """One scan, many sketches: ``specs`` maps output name → (column, sketch
+    prototype). Each batch inserts into a fresh clone of every prototype and
+    emits one (sketch, state) row per sketch — the five-sketch single-pass
+    of SURVEY.md §7.1 step 3 — and the driver tree-merges the partials.
 
-    The partials table is tiny (one row per sketch per block) — materializing
-    it on the driver is O(blocks), not O(rows).
+    The scan is a plain function (stateless tasks that fuse with the
+    upstream stages, the ``make_mark_fn`` pattern). The partials table is
+    tiny (one row per sketch per batch) — materializing it on the driver is
+    O(blocks), not O(rows).
     """
-    packed = MultiSketchStage.make_specs(specs)
-    partials = ds.map_batches(
-        MultiSketchStage,
-        fn_constructor_kwargs={"specs": packed},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+
+    # the prototypes travel as pickled bytes: unpickling them per batch gives
+    # fresh, writable clones (arrays deserialized with the closure itself
+    # are read-only views of the object store)
+    packed = pickle.dumps(specs)
+
+    def scan(batch: pa.Table) -> pa.Table:
+        names, states = [], []
+        for name, (col, sk) in pickle.loads(packed).items():
+            _insert_column(sk, _column(batch, col))
+            names.append(name)
+            states.append(sk.to_bytes())
+        return pa.table(
+            {
+                "sketch": pa.array(names, pa.string()),
+                "state": pa.array(states, pa.binary()),
+            }
+        )
+
+    partials = ds.map_batches(scan, batch_format="pyarrow", zero_copy_batch=True)
     by_name: dict[str, list[bytes]] = {name: [] for name in specs}
     for batch in partials.iter_batches(batch_format="pyarrow", batch_size=4096):
         names = batch["sketch"].to_pylist()
@@ -182,25 +158,15 @@ try:
             )
 
         def _new(self) -> Sketch:
-            import pickle
-
             return pickle.loads(self._proto_bytes)
 
         def aggregate_block(self, block) -> bytes:
             t = BlockAccessor.for_block(block).to_arrow()
             sk = self._new()
-            col = _column(t, self._target_col_name)
-            if isinstance(sk, (TDigest, KLL)):
-                sk.insert_batch(
-                    np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.float64)
-                )
-            else:
-                sk.insert_batch(col)
+            _insert_column(sk, _column(t, self._target_col_name))
             return sk.to_bytes()
 
         def combine(self, acc, new):
-            import pickle
-
             if acc is None:
                 return new
             if new is None:
@@ -209,8 +175,6 @@ try:
             return a.merge(pickle.loads(new)).to_bytes()
 
         def finalize(self, acc):
-            import pickle
-
             if acc is None:
                 return None
             sk = pickle.loads(acc)
@@ -234,8 +198,6 @@ try:
             )
 
         def finalize(self, acc):
-            import pickle
-
             if acc is None:
                 return None
             return pickle.loads(acc).top_k()
@@ -246,8 +208,6 @@ try:
             super().__init__(on, TDigest(delta), alias_name)
 
         def finalize(self, acc):
-            import pickle
-
             if acc is None:
                 return None
             sk = pickle.loads(acc)
@@ -259,8 +219,6 @@ try:
             super().__init__(on, KLL(k), alias_name)
 
         def finalize(self, acc):
-            import pickle
-
             if acc is None:
                 return None
             sk = pickle.loads(acc)

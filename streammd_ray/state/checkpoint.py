@@ -130,6 +130,7 @@ def run_flagship_checkpointed(
     from .. import __version__
     from ..hashing import HASHER_ID
     from ..pipelines.flagship import run_flagship
+    from ..pipelines.mark_duplicates import metrics_json
     from ..sketches.base import merge_all
     from ..stages.dedup import make_shard_actors
 
@@ -232,9 +233,6 @@ def run_flagship_checkpointed(
     # final metrics: sum counters, merge every sketch across waves (wave
     # order is arbitrary — merges are associative by construction)
     done_waves = manifest["waves"].values()
-    turns = sum(w["metrics"]["turns"] for w in done_waves)
-    nulls = sum(w["metrics"]["nulls"] for w in done_waves)
-    dups = sum(w["metrics"]["dups"] for w in done_waves)
     sketch_names = sorted({n for w in done_waves for n in w["sketches"]})
     merged = {
         n: merge_all(
@@ -246,15 +244,15 @@ def run_flagship_checkpointed(
         )
         for n in sketch_names
     }
-    denom = turns - nulls
-    manifest["metrics"] = {
-        "TURNS": turns,
-        "TURNS_NULL_TEXT": nulls,
-        "TURNS_MARKED_DUPLICATE": dups,
-        "CONVERSATIONS": round(merged["convs_hll"].estimate())
-        if "convs_hll" in merged
-        else None,
-        "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
-    }
+
+    def total(counter: str) -> int:
+        return sum(w["metrics"][counter] for w in done_waves)
+
+    manifest["metrics"] = metrics_json(
+        total("turns"),
+        total("nulls"),
+        total("dups"),
+        round(merged["convs_hll"].estimate()),
+    )
     _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
     return manifest, merged

@@ -233,8 +233,8 @@ def test_quantiles_int64_exact_above_2_53(ray_session):
 
 
 def test_key_spec_passthrough_mismatch_raises(ray_session):
-    """Pre-hashed key columns + a different requested spec must raise, not
-    silently dedup on the wrong key (round-3 advice #2)."""
+    """An already-keyed dataset is refused: the engine dedups only on keys
+    it derived itself, never on stored __key_h1/__key_h2 columns."""
     import pyarrow as pa
     import pytest
     import ray.data as rd
@@ -243,33 +243,9 @@ def test_key_spec_passthrough_mismatch_raises(ray_session):
 
     t = pa.table({"text": ["a", "b", "c", "a"], "other": ["x", "y", "z", "x"]})
     hashed = add_key_columns(rd.from_arrow(t), ("text",)).materialize()
+    assert hashed.count() == 4
 
-    # same spec: passthrough is fine
-    add_key_columns(hashed, ("text",)).materialize()
+    for key_cols in (("text",), ("other",)):
+        with pytest.raises(Exception, match="reserved columns __key_h1/__key_h2"):
+            add_key_columns(hashed, key_cols).materialize()
 
-    # different key columns → spot-recompute catches it
-    with pytest.raises(Exception, match="mismatched keys"):
-        add_key_columns(hashed, ("other",)).materialize()
-
-    # different seeds → caught too
-    with pytest.raises(Exception, match="mismatched keys"):
-        add_key_columns(hashed, ("text",), seeds=(1, 2)).materialize()
-
-
-def test_key_spec_passthrough_light_table_allowed(ray_session):
-    """Payload-light tables (key columns dropped after hashing, no field
-    metadata survives a plain parquet-less rebuild) still pass through."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from streammd_ray.stages.dedup import KEY_H1, KEY_H2, add_key_columns
-
-    t = pa.table(
-        {
-            KEY_H1: pa.array(np.arange(1, 5), pa.int64()),
-            KEY_H2: pa.array(np.arange(5, 9), pa.int64()),
-        }
-    )
-    out = add_key_columns(rd.from_arrow(t), ("text",)).materialize()
-    assert out.count() == 4

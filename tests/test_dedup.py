@@ -133,6 +133,33 @@ def test_scope_conversation(ray_session):
     assert got["is_duplicate"].tolist() == [False, True, False, False]
 
 
+def test_scope_conversation_keeps_custom_key_cols(ray_session):
+    """scope='conversation' appends conv_id to the given key columns: with
+    key_cols=('tool',), two turns of one conversation calling the same tool
+    are duplicates whatever their text; the same tool in another
+    conversation is not."""
+    import pyarrow as pa
+
+    rows = pd.DataFrame(
+        {
+            "conv_id": ["c1", "c1", "c2"],
+            "turn_idx": np.array([0, 1, 0], dtype=np.int32),
+            "role": ["tool"] * 3,
+            "text": ["first", "second", "third"],
+            "tool": ["tool-1"] * 3,
+            "ts": pd.to_datetime(["2025-01-01"] * 3),
+        }
+    )
+    ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
+    res = mark_duplicates(
+        ds, key_cols=("tool",), p=1e-9, num_shards=2, scope="conversation"
+    )
+    got = res.marked.to_pandas().sort_values(["conv_id", "turn_idx"])
+    res.release()
+    assert res.config["key_cols"] == ("tool", "conv_id")
+    assert got["is_duplicate"].tolist() == [False, True, False]
+
+
 def test_capacity_guard(ray_session):
     import pyarrow as pa
 

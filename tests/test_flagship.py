@@ -57,41 +57,3 @@ def test_flagship_with_output_dir(ray_session, data, tmp_path):
     assert len(written) == len(truth)
     # the written marks agree with the counters from the same pass
     assert int(written["is_duplicate"].sum()) == out.counters["dups"]
-
-
-def test_flagship_payload_light_equals_full(ray_session):
-    """A pre-hashed, text-dropped (payload-light) table must mark the same
-    duplicates and count the same rows as the full-payload run:
-    add_key_columns passes precomputed keys through and SketchTail falls
-    back to the '__len' column."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from streammd_ray.pipelines.flagship import run_flagship
-    from streammd_ray.sources.transcripts import generate_transcripts
-    from streammd_ray.stages.dedup import add_key_columns
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        generate_transcripts(d, n_turns=20_000, seed=11, dup_frac=0.3, n_files=4)
-        full = rd.read_parquet(d, columns=["conv_id", "text", "tool"])
-        r_full = run_flagship(full, p=1e-9, num_shards=2)
-        r_full.mark.release()
-
-        def slim(t):
-            return t.append_column(
-                "__len", pc.cast(pc.utf8_length(t["text"]), pa.int64())
-            ).drop_columns(["text"])
-
-        light = add_key_columns(
-            rd.read_parquet(d, columns=["conv_id", "text", "tool"]), ("text",)
-        ).map_batches(slim, batch_format="pyarrow", zero_copy_batch=True)
-        r_light = run_flagship(light, p=1e-9, num_shards=2)
-        r_light.mark.release()
-
-        assert r_light.counters == r_full.counters
-        assert round(r_light.sketches["convs_hll"].estimate()) == round(
-            r_full.sketches["convs_hll"].estimate()
-        )

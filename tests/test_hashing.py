@@ -1,24 +1,9 @@
-"""Hashing primitives: murmur3 vectors + bulk-hash consistency."""
+"""Hashing primitives: bulk-hash determinism, seeds and nulls."""
 
 import numpy as np
 import pyarrow as pa
 
-from streammd_ray.hashing import hash64_batch, hash_pair_batch, murmur3_x64_128
-
-
-def test_murmur3_known_vectors():
-    # public MurmurHash3 x64/128 vectors (mmh3 library README: hash128/hash64)
-    h1, h2 = murmur3_x64_128(b"", 0)
-    assert (h1, h2) == (0, 0)
-    h1, h2 = murmur3_x64_128(b"foo", 0)
-    assert h1 | (h2 << 64) == 168394135621993849475852668931176482145
-    assert h1 - (1 << 64) == -2129773440516405919  # mmh3.hash64('foo')[0]
-    assert h2 == 9128664383759220103  # mmh3.hash64('foo')[1]
-    # >16-byte input exercises the block loop
-    h1b, h2b = murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0)
-    assert (h1b, h2b) != (h1, h2) and h1b > 0
-    # seed changes the digest
-    assert murmur3_x64_128(b"foo", 42) != (h1, h2)
+from streammd_ray.hashing import hash64_batch, hash_pair_batch
 
 
 def test_hash64_batch_deterministic_and_distinct():

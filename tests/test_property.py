@@ -111,6 +111,20 @@ def test_cli_show_capacity_math():
     assert info["k"] == 10
 
 
+def test_cli_show_capacity_follows_layout():
+    """--show-capacity reports the (m, k) and capacity of the shards that
+    --bloom-layout would spawn: k=10 classic, structural k=8 split."""
+    from streammd_ray.cli import build_parser, show_capacity
+
+    base = ["--show-capacity", "-m", "2MiB", "--num-shards", "2"]
+    classic = show_capacity(build_parser().parse_args(base))
+    split = show_capacity(build_parser().parse_args(base + ["--bloom-layout", "split"]))
+    assert classic["bits_per_shard_pow2"] == split["bits_per_shard_pow2"] == 2**23
+    assert (classic["k"], classic["capacity_per_shard"]) == (10, 242_656)
+    assert (split["k"], split["capacity_per_shard"]) == (8, 205_318)
+    assert split["capacity_total"] == 2 * 205_318
+
+
 @given(
     vals=st.lists(
         st.floats(
