@@ -7,10 +7,13 @@ duplicate marking, generalized here into five mergeable UDAF sketches (Bloom,
 HyperLogLog, count-min, t-digest, KLL) over Parquet tables of conversation /
 agent transcripts, executed as ray.data.Dataset pipelines of map_batches over
 zero-copy Arrow batches, with the Bloom state in shard actors.
+
+Importing the package loads nothing heavy: ``sketches`` and ``state.shards``
+need only numpy (and polars once a column is hashed), so a Bloom shard
+process starts without Ray Data. The Ray 2.49 containments in ``compat``
+are applied when ``streammd_ray.stages`` is imported; every module that
+plans a Ray Data pipeline (``pipelines``, ``queries``, the transcript
+derivation) goes through it.
 """
 
 __version__ = "0.1.0"
-
-from .compat import apply_ray_patches as _apply_ray_patches
-
-_apply_ray_patches()

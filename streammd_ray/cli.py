@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def show_capacity(args) -> dict:
     from .sketches.bloom import capacity, parse_memspec
-    from .stages.dedup import shard_geometry
+    from .state.shards import shard_geometry
 
     per_m, k = shard_geometry(args.mem, args.num_shards, args.bloom_layout)
     per_shard = capacity(args.fp_rate, per_m, k)

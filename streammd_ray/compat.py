@@ -1,4 +1,5 @@
-"""Containments for Ray 2.49 defects, applied once at package import.
+"""Containments for Ray 2.49 defects, applied once when ``streammd_ray.stages``
+is imported (every module that plans a Ray Data pipeline imports it).
 
 Two are patched.
 
@@ -153,7 +154,7 @@ class SchemaSafeJoinAggregation(_ORIGINAL_JOIN_AGG):
 
 
 def apply_ray_patches() -> None:
-    """Idempotent; called from the package __init__."""
+    """Idempotent; called from ``streammd_ray.stages.__init__``."""
     if _ray_join.JoiningShuffleAggregation is not SchemaSafeJoinAggregation:
         _ray_join.JoiningShuffleAggregation = SchemaSafeJoinAggregation
     base = _ray_shuffle.HashShufflingOperatorBase

@@ -8,12 +8,18 @@ hashing — the scheme the reference engine uses with XXH3-64 seeds 43/9967
 (see /root/reference/src/bloomfilter.cxx:104-120). All sketch state is
 tagged with the hasher name + seeds so merges across partitions are only
 permitted between sketches built with the identical hash configuration.
+
+polars is imported by the functions that hash, not at module import, so the
+sketch classes (and a Bloom shard process, which receives pre-hashed keys)
+load without it.
 """
 
 from __future__ import annotations
 
+import sys
+from importlib.metadata import version
+
 import numpy as np
-import polars as pl
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -23,7 +29,8 @@ SEED_A = 43
 SEED_B = 9967
 
 
-def _to_polars_series(values) -> pl.Series:
+def _to_polars_series(values):
+    import polars as pl
     import pyarrow as pa
 
     if isinstance(values, pl.Series):
@@ -58,7 +65,8 @@ def valid_mask(values) -> np.ndarray | None:
         if isinstance(values, pa.ChunkedArray):
             values = values.combine_chunks()
         return np.asarray(values.is_valid())
-    if isinstance(values, pl.Series):
+    pl = sys.modules.get("polars")  # a polars Series implies polars is loaded
+    if pl is not None and isinstance(values, pl.Series):
         if values.null_count() == 0:
             return None
         return (~values.is_null()).to_numpy()
@@ -75,4 +83,6 @@ def hash_pair_batch(values, seed_a: int = SEED_A, seed_b: int = SEED_B):
     return h1, h2
 
 
-HASHER_ID = f"polars-xxh:{pl.__version__}"
+#: tags every sketch and checkpoint manifest; read from the installed
+#: distribution's metadata, the same string as polars' ``__version__``
+HASHER_ID = f"polars-xxh:{version('polars')}"

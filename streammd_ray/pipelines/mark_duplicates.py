@@ -31,8 +31,8 @@ from ..stages.dedup import (
     MARK_COL,
     add_key_columns,
     make_mark_fn,
-    make_shard_actors,
 )
+from ..state.shards import make_shard_actors
 
 
 class CapacityExceeded(RuntimeError):

@@ -122,16 +122,19 @@ _CACHE_DIR = os.path.join(
 )
 
 _u64p = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
-_u8p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+# the bitset and the verdict array are written in place: refuse read-only
+# views, which the kernels would otherwise write through
+_u64p_out = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS,WRITEABLE")
+_u8p_out = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
 
 _SIGNATURES = {
     "classic_tas": [
-        _u64p, ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
-        _u64p, _u64p, ctypes.c_int64, _u8p,
+        _u64p_out, ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
+        _u64p, _u64p, ctypes.c_int64, _u8p_out,
     ],
     "split_tas": [
-        _u64p, ctypes.c_uint64, ctypes.c_int,
-        _u64p, _u64p, _u64p, ctypes.c_int64, _u8p,
+        _u64p_out, ctypes.c_uint64, ctypes.c_int,
+        _u64p, _u64p, _u64p, ctypes.c_int64, _u8p_out,
     ],
 }
 

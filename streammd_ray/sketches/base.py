@@ -76,6 +76,18 @@ class Sketch(abc.ABC):
         return obj
 
 
+def require_writeable(state, kind: str) -> None:
+    """Refuse an in-place insert into read-only state. ``ufunc.at`` (numpy
+    1.26) ignores the read-only flag, so without this check an insert into
+    a zero-copy view (a sketch returned by ``ray.get`` or captured in a
+    task closure) would write into the shared object-store copy."""
+    if not state.flags.writeable:
+        raise ValueError(
+            f"{kind} state is read-only (a zero-copy view, e.g. of a Ray "
+            "object-store value); insert into a copy, not the stored sketch"
+        )
+
+
 def merge_all(states: list) -> "Sketch":
     """Left fold of ``merge`` over a list of sketches (driver-side tail of a
     tree reduction; see streammd_ray.stages.sketch_agg.tree_merge for the

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
 from . import _native
-from .base import Sketch, SketchError
+from .base import Sketch, SketchError, require_writeable
 
 _MEMSPEC_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([KMGT]?)(i?)B?\s*$", re.IGNORECASE)
 
@@ -188,6 +188,7 @@ class BloomFilter(Sketch):
     def add(self, item) -> bool:
         """Insert one item; returns False if it was (probably) already present
         — the duplicate signal, matching the reference's add()."""
+        require_writeable(self._bits, self.kind)
         h1, h2 = self._scalar_hashes(item)
         seen = self._test_and_set(self._indices(h1, h2))
         if not seen[0]:
@@ -208,6 +209,7 @@ class BloomFilter(Sketch):
 
         Within the batch, only the first occurrence of each (h1,h2) pair can be
         new; repeats are not-new regardless of filter state."""
+        require_writeable(self._bits, self.kind)
         if len(h1) == 0:
             return np.zeros(0, dtype=bool)
         h1 = np.ascontiguousarray(h1, dtype=np.uint64)

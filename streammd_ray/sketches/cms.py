@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
-from .base import Sketch
+from .base import Sketch, require_writeable
 
 
 class CountMinSketch(Sketch):
@@ -56,6 +56,7 @@ class CountMinSketch(Sketch):
     def insert_batch(self, values, counts=None) -> None:
         """Add each value (optionally with per-value integer counts).
         Null values are skipped — they are not a frequency key."""
+        require_writeable(self.counts, self.kind)
         h1, h2 = hash_pair_batch(values, *self.seeds)
         if counts is None:
             w = np.ones(len(h1), dtype=np.int64)

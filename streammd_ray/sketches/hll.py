@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, hash64_batch, valid_mask
-from .base import Sketch
+from .base import Sketch, require_writeable
 
 
 class HyperLogLog(Sketch):
@@ -49,6 +49,7 @@ class HyperLogLog(Sketch):
         return 1.04 / math.sqrt(self.m)
 
     def insert_hashed(self, h: np.ndarray) -> None:
+        require_writeable(self.regs, self.kind)
         h = np.ascontiguousarray(h, dtype=np.uint64)
         idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
         w = h & np.uint64((1 << (64 - self.p)) - 1)

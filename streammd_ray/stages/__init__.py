@@ -1,3 +1,4 @@
+from ..compat import apply_ray_patches as _apply_ray_patches
 from .dedup import (
     BloomMarkStage,
     ConversationValidationError,
@@ -37,3 +38,7 @@ __all__ = [
     "KllAgg",
     "BloomCountAgg",
 ]
+
+# the Ray 2.49 containments: every engine module that plans a Ray Data
+# pipeline imports this package, and the patches act at plan time
+_apply_ray_patches()

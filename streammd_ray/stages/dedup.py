@@ -11,17 +11,17 @@ Three building blocks, one implementation each:
   generalize that discipline). Null content ⇒ null key (the "unmapped"
   analog: counted, never inserted, src/markdups.cxx:110-112).
 
-- :class:`_BloomShard` + :class:`BloomMarkStage` — the stateful path.
-  P shard actors each own 1/P of the global Bloom filter; every key is routed
-  to ``h1 mod P``, so each key always consults the same shard and the
-  partitioned filter is decision-equivalent to one global filter of the same
-  total (m, k) (SURVEY.md §7.0). Marking happens shard-locally during insert;
-  the merged (ORed) filter is used only for global estimates, never for
-  marking (SURVEY.md §4.2). First-seen-wins is arrival-order within the Ray
-  stream — exactly one row per distinct key survives (actor calls serialize),
-  but *which* physical row is first is nondeterministic under parallelism, so
-  order-sensitive oracles must use :func:`dedup_exact_first` instead; the
-  duplicate-count and metrics are deterministic.
+- :class:`BloomMarkStage` — the stateful path's router. It sends each key
+  to the shard actor ``h1 mod P`` (the shards, ``_BloomShard`` and
+  ``make_shard_actors``, live in ``state/shards.py`` so a shard process
+  imports only numpy and the filter; they are re-exported here). Marking
+  happens shard-locally during insert; the merged (ORed) filter is used
+  only for global estimates, never for marking (SURVEY.md §4.2).
+  First-seen-wins is arrival-order within the Ray stream — exactly one row
+  per distinct key survives (actor calls serialize), but *which* physical
+  row is first is nondeterministic under parallelism, so order-sensitive
+  oracles must use :func:`dedup_exact_first` instead; the duplicate-count
+  and metrics are deterministic.
 
 - :func:`dedup_exact_first` — the exact, deterministic oracle path: one
   hash-partition shuffle of the rows by key hash, then first-by-(conv_id,
@@ -41,11 +41,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import hash_pair_batch
-from ..sketches.bloom import (
-    DEFAULT_MEM_K,
-    BloomFilter,
-    SplitBlockBloomFilter,
-    parse_memspec,
+from ..state.shards import (  # noqa: F401 — re-exported engine surface
+    _BloomShard,
+    make_shard_actors,
+    resolve_layout,
+    shard_geometry,
 )
 
 KEY_H1 = "__key_h1"
@@ -54,32 +54,6 @@ KEY_H2 = "__key_h2"
 MARK_COL = "is_duplicate"
 #: first-seen order of the exact path: first = min over these per key
 ORDER_COLS = ("conv_id", "turn_idx")
-
-#: probe-layout registry (see _BloomShard.__init__ for the semantics)
-BLOOM_LAYOUTS = {"classic": BloomFilter, "split": SplitBlockBloomFilter}
-
-
-def resolve_layout(layout: str | None):
-    """Map a layout name → filter class; ``None`` means classic."""
-    if layout is None:
-        return BloomFilter
-    if layout not in BLOOM_LAYOUTS:
-        raise ValueError(
-            f"unknown bloom layout {layout!r}; one of {sorted(BLOOM_LAYOUTS)}"
-        )
-    return BLOOM_LAYOUTS[layout]
-
-
-def shard_geometry(mem: str, num_shards: int, layout: str | None = None):
-    """Per-shard (m, k) of a ``mem`` budget split evenly over ``num_shards``:
-    m is the shard's share in bits rounded down to a power of two (pow2
-    addressing), k is 10 for the classic layout and the split layout's
-    structural 8."""
-    per_m = 8 * parse_memspec(mem) // num_shards
-    per_m = 1 << (per_m.bit_length() - 1)
-    if resolve_layout(layout) is SplitBlockBloomFilter:
-        return per_m, SplitBlockBloomFilter.LANES
-    return per_m, DEFAULT_MEM_K
 
 
 def canonical_key(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Array:
@@ -129,160 +103,6 @@ def add_key_columns(ds, key_cols: tuple[str, ...] = ("text",)):
         ).append_column(KEY_H2, pa.array(h2.view(np.int64), pa.int64()))
 
     return ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------------------------------------------------------------------------
-# Sharded Bloom actors (the scale path)
-# ---------------------------------------------------------------------------
-
-
-class _BloomShard:
-    """One partition of the global Bloom filter + its running counters
-    (the counters mirror struct counts, /root/reference/src/markdups.h:33-36)."""
-
-    def __init__(
-        self,
-        p: float,
-        capacity: int,
-        *,
-        m: int | None = None,
-        k: int | None = None,
-        layout: str | None = None,
-    ):
-        # layout: probe geometry of this shard's filter —
-        #   "classic" (default): k probes over the whole bitset, the
-        #     reference's layout (src/bloomfilter.cxx:104-120);
-        #   "split": split-block bit pattern (SplitBlockBloomFilter) — one
-        #     bit per 64-bit lane of one 64-byte line, structural k=8, the
-        #     fastest kernel (~30x classic-numpy with the native path).
-        # Each layout's stats() report its own honest marginal_fpr.
-        cls = resolve_layout(layout)
-        if cls is SplitBlockBloomFilter:
-            k = None  # structural k=8
-        if m is not None and k is not None:
-            self.bf = cls(p, m=m, k=k)
-        elif m is not None:
-            self.bf = cls(p, m=m)
-        else:
-            self.bf = cls(p, capacity)
-        import collections
-
-        self.keys_seen = 0
-        self.dups = 0
-        # LRU: replayed (retried-task) lookups move their entry to the back,
-        # so eviction hits the coldest entries — those of long-finished tasks
-        # — first, not a live task's entry in a long-lived worker
-        self._cache: collections.OrderedDict = collections.OrderedDict()
-        self._sealed = False
-
-    _CACHE_MAX = 4096
-
-    def add(
-        self, h1: np.ndarray, h2: np.ndarray, batch_key: bytes | None = None
-    ) -> np.ndarray:
-        """Insert a routed slice; returns was_new.
-
-        ``batch_key`` identifies the PHYSICAL batch: (Ray task id, batch
-        ordinal within the task, slice content). A Ray task retry re-runs the
-        same task id and replays its batches in order, so the retry hits the
-        cache and does not mark its own rows as duplicates of themselves
-        (SURVEY.md §7.3 "exactness under retries"). Two genuinely distinct
-        batches with byte-identical content (e.g. a byte-copied input file)
-        come from different tasks/ordinals and do NOT replay. The cache is
-        bounded; callers must still consume the marked dataset exactly once
-        (materialize or write) — full plan re-executions are not replays and
-        are caught by :meth:`seal`.
-        """
-        if self._sealed:
-            raise RuntimeError(
-                "Bloom shard is sealed: the marked dataset was already "
-                "consumed; a second execution of the lazy plan would "
-                "re-insert every key and mark every row duplicate "
-                "(consume-once contract, pipelines/mark_duplicates.py)"
-            )
-        if batch_key is not None and batch_key in self._cache:
-            self._cache.move_to_end(batch_key)
-            return self._cache[batch_key]
-        was_new = self.bf.add_hashed(h1, h2)
-        self.keys_seen += len(h1)
-        self.dups += int((~was_new).sum())
-        if batch_key is not None:
-            if len(self._cache) >= self._CACHE_MAX:
-                self._cache.popitem(last=False)
-            self._cache[batch_key] = was_new
-        return was_new
-
-    def contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        return self.bf.contains_hashed(h1, h2)
-
-    def stats(self) -> dict:
-        return {
-            "keys_seen": self.keys_seen,
-            "dups": self.dups,
-            "n_added": self.bf.n_added,
-            "capacity": self.bf.n,
-            "marginal_fpr": self.bf.marginal_fpr(),
-            "count_estimate": self.bf.count_estimate(),
-        }
-
-    def seal(self) -> None:
-        """Refuse further inserts: called once the marked dataset has been
-        consumed, so a silent plan re-execution fails loudly instead of
-        re-inserting every key (the consume-once contract made enforceable)."""
-        self._sealed = True
-
-    def unseal(self) -> None:
-        """Re-allow inserts — used by the wave/checkpoint driver, where the
-        SAME shard actors intentionally process successive waves."""
-        self._sealed = False
-
-    def state(self) -> bytes:
-        return self.bf.to_bytes()
-
-    def load(self, data: bytes, keys_seen: int = 0, dups: int = 0) -> None:
-        """Restore filter + running counters (counters are snapshot alongside
-        the filter by state/checkpoint.py so resumed runs report true
-        keys_seen/dups, not zeros)."""
-        self.bf = BloomFilter.from_bytes(data)
-        self.keys_seen = keys_seen
-        self.dups = dups
-        self._sealed = False
-
-
-def make_shard_actors(
-    num_shards: int,
-    *,
-    p: float = 1e-6,
-    total_capacity: int | None = None,
-    mem: str | None = None,
-    layout: str | None = None,
-):
-    """Create the P Bloom shard actors.
-
-    Sizing: the total memory/capacity budget is split evenly across shards
-    (:func:`shard_geometry` for a ``mem`` budget); keys route by
-    ``h1 mod P``, so shard i holds ~n/P keys and honors the configured FPR
-    p at its share (SURVEY.md §7.3 FPR accounting). P is fixed
-    for the run and recorded in lineage — state partition count must be
-    deterministic, never autoscaled.
-
-    The shards reserve no CPU: they are short-burst RPC servers driven
-    by the marking tasks, which hold the real CPU slots; a fractional
-    reservation per always-resident actor deadlocks small clusters once a
-    few pipelines have run in one session (reservations outlive the
-    pipeline until the actors are released).
-    """
-    import ray
-
-    Actor = ray.remote(num_cpus=0)(_BloomShard)
-    kwargs: dict = {"layout": layout}
-    if mem is not None:
-        m, k = shard_geometry(mem, num_shards, layout)
-        kwargs.update(m=m, k=k)
-        cap = 0
-    else:
-        cap = max(1024, int((total_capacity or 1_000_000) / num_shards))
-    return [Actor.remote(p, cap, **kwargs) for _ in range(num_shards)]
 
 
 class BloomMarkStage:

@@ -132,7 +132,7 @@ def run_flagship_checkpointed(
     from ..pipelines.flagship import run_flagship
     from ..pipelines.mark_duplicates import metrics_json
     from ..sketches.base import merge_all
-    from ..stages.dedup import make_shard_actors
+    from .shards import make_shard_actors
 
     input_files = sorted(input_files)
     waves = [

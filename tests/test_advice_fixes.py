@@ -30,6 +30,22 @@ def test_shard_distinct_identical_batches_both_insert():
     assert sh.keys_seen == 8
 
 
+def test_shard_load_drops_replay_cache():
+    """A batch_key replayed after ``load`` must insert into the loaded
+    filter, not return the verdict cached against the replaced one."""
+    from streammd_ray.stages.dedup import _BloomShard
+
+    sh = _BloomShard(1e-6, 10_000)
+    empty = _BloomShard(1e-6, 10_000).state()
+    h1 = np.array([11, 22], dtype=np.uint64)
+    h2 = np.array([5, 6], dtype=np.uint64)
+    assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]
+    sh.load(empty)
+    assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]
+    assert sh.keys_seen == 2
+    assert sh.contains(h1, h2).all()
+
+
 def test_mark_stage_batch_key_distinguishes_ordinals():
     from streammd_ray.stages.dedup import BloomMarkStage
 

@@ -9,7 +9,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-import streammd_ray  # noqa: F401 — applies the join containment patch
+import streammd_ray.stages  # noqa: F401 — applies the Ray 2.49 containments
 
 
 def _tiny(n, key, start=0):

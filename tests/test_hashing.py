@@ -27,6 +27,17 @@ def test_hash_pair_nonzero_h2():
     assert (h2 != 0).all()
 
 
+def test_hasher_id_is_polars_version():
+    """HASHER_ID is pinned in sketches and checkpoint manifests: it must stay
+    the string the polars-module form produced, or old checkpoints stop
+    resuming."""
+    import polars
+
+    from streammd_ray.hashing import HASHER_ID
+
+    assert HASHER_ID == f"polars-xxh:{polars.__version__}"
+
+
 def test_null_hashes_to_zero():
     h = hash64_batch(pa.array(["a", None, "b"]), seed=1)
     assert h[1] == 0

@@ -1,0 +1,49 @@
+"""Import weight: a Bloom shard process imports ``streammd_ray.state.shards``
+and must not pay for Ray Data, pandas, polars or pyarrow.compute; the Ray
+2.49 containments move with the planning code to ``streammd_ray.stages``.
+Each check runs in a fresh interpreter, since this test session has long
+since imported everything."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HEAVY = ("ray.data", "pandas", "polars", "pyarrow.compute")
+
+
+def _run(code: str) -> str:
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "module", ["streammd_ray", "streammd_ray.sketches", "streammd_ray.state.shards"]
+)
+def test_light_modules_skip_heavy_imports(module):
+    loaded = _run(
+        f"import sys, {module}; "
+        f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))"
+    )
+    assert loaded == "", f"import {module} loaded {loaded}"
+
+
+def test_stages_import_applies_ray_patches():
+    assert _run(
+        "import streammd_ray.stages\n"
+        "from ray.data._internal.execution.operators import hash_shuffle, join\n"
+        "from streammd_ray.compat import (\n"
+        "    SchemaSafeJoinAggregation, _capped_aggregator_args)\n"
+        "print(join.JoiningShuffleAggregation is SchemaSafeJoinAggregation,\n"
+        "      hash_shuffle.HashShufflingOperatorBase"
+        "._get_default_aggregator_ray_remote_args is _capped_aggregator_args)\n"
+    ) == "True True"

@@ -1,12 +1,20 @@
 """HLL / CMS / t-digest / KLL: published-error-bound compliance + merge
 associativity under permuted partition orders (north_rule), with deterministic
 seeds — the pytest analog of the reference's hand-rolled statistical tests
-(/root/reference/tests/test_bloomfilter.cxx:83-148)."""
+(/root/reference/tests/test_bloomfilter.cxx:83-148). Also: HLL, count-min and
+both Bloom layouts refuse an insert into read-only (object-store) state."""
 
 import numpy as np
 import pytest
 
-from streammd_ray.sketches import KLL, CountMinSketch, HyperLogLog, TDigest
+from streammd_ray.sketches import (
+    KLL,
+    BloomFilter,
+    CountMinSketch,
+    HyperLogLog,
+    SplitBlockBloomFilter,
+    TDigest,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -263,3 +271,68 @@ def test_tdigest_cdf():
     assert abs(td.cdf(5_000.0) - 0.5) < 0.01
     assert td.cdf(-1.0) == 0.0
     assert td.cdf(10_001.0) == 1.0
+
+
+# ---------------- read-only state ----------------
+
+
+_STATES = {
+    "hll": (lambda: HyperLogLog(precision=10), lambda s: s.regs),
+    "cms": (lambda: CountMinSketch(eps=1e-2, delta=1e-2), lambda s: s.counts),
+    "bloom": (lambda: BloomFilter(1e-6, m=1 << 16, k=10), lambda s: s._bits),
+    "bloom_split": (lambda: SplitBlockBloomFilter(1e-6, m=1 << 16), lambda s: s._bits),
+}
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("kind", sorted(_STATES))
+def test_insert_refuses_read_only_state(ray_session, monkeypatch, kind, native):
+    """A sketch read back from the object store is a read-only view;
+    inserting into it must raise, and the stored copy must stay as put.
+    (``ufunc.at`` and the native Bloom kernels ignore the read-only flag.)
+    HLL and CMS have no native path: both ids run the same numpy code."""
+    import ray
+
+    from streammd_ray.sketches import _native
+
+    if native and _native.get_kernels() is None:
+        pytest.skip("no C toolchain on this host")
+    if not native:
+        monkeypatch.setattr(_native, "get_kernels", lambda: None)
+    make, state_of = _STATES[kind]
+    sk = make()
+    sk.insert_batch([f"k{i}" for i in range(100)])
+    ref = ray.put(sk)
+    view = ray.get(ref)
+    assert not state_of(view).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view.insert_batch([f"new{i}" for i in range(1000)])
+    if kind.startswith("bloom"):
+        h = np.arange(1, 1001, dtype=np.uint64)
+        with pytest.raises(ValueError, match="read-only"):
+            view.add_hashed(h, h)
+        with pytest.raises(ValueError, match="read-only"):
+            view.add("new-scalar")
+    assert np.array_equal(state_of(ray.get(ref)), state_of(sk))
+
+
+def test_native_kernels_refuse_read_only_bits():
+    """The ctypes signatures require WRITEABLE output arrays, so a direct
+    kernel call cannot write through a read-only bitset either."""
+    import ctypes
+
+    from streammd_ray.sketches import _native
+
+    nat = _native.get_kernels()
+    if nat is None:
+        pytest.skip("no C toolchain on this host")
+    bits = np.zeros(1024, dtype=np.uint64)
+    bits.flags.writeable = False
+    h = np.arange(1, 9, dtype=np.uint64)
+    seen = np.zeros(8, dtype=np.uint8)
+    with pytest.raises(ctypes.ArgumentError):
+        nat.classic_tas(bits, np.uint64(1024 * 64), 1, 10, h, h, np.int64(8), seen)
+    mul = np.ones(8, dtype=np.uint64)
+    with pytest.raises(ctypes.ArgumentError):
+        nat.split_tas(bits, np.uint64(128), 1, mul, h, h, np.int64(8), seen)
+    assert not bits.any()
