@@ -16,14 +16,18 @@ import pickle
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import KLL, CountMinSketch, HyperLogLog, TDigest
 from ..sketches.base import Sketch
 from ..stages.dedup import MARK_COL
-from ..stages.sketch_agg import tree_merge
+from ..stages.sketch_agg import (
+    gather_partials,
+    partials_table,
+    sketch_partials,
+    tree_merge,
+)
 from .mark_duplicates import MarkResult, mark_duplicates, metrics_json
 
 
@@ -39,10 +43,11 @@ def default_sketch_specs() -> dict[str, tuple[str, Sketch]]:
 
 
 class SketchTail:
-    """Per-batch tail stage: derive turn length, insert the batch into fresh
-    sketch partials, emit one (sketch, state) row per sketch plus a counters
-    row. Partials are small (compressed t-digest, modest CMS) and tree-merge
-    in O(log n_batches).
+    """Per-batch tail stage: derive turn length (``__len``), insert the batch
+    into fresh sketch partials (``stages.sketch_agg.sketch_partials``), emit
+    one (sketch, state) row per sketch plus a ``__counts`` row. Partials are
+    small (compressed t-digest, modest CMS) and tree-merge in
+    O(log n_batches).
 
     ``output_dir`` turns the tail into a streaming SINK as well: each block
     is written to its own parquet part file (tmp + atomic rename, name
@@ -91,59 +96,13 @@ class SketchTail:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output_dir is not None:
             self._write_part(batch)
-        lens = pc.cast(
-            pc.fill_null(pc.utf8_length(batch["text"]), 0), pa.float64()
-        ).to_numpy(zero_copy_only=False)
-        # Column-level pre-aggregation: one value_counts per source column
-        # feeds every weighted-capable sketch on it. The tail was the map
-        # side's CPU hog (3.56 s per 2M-row block, ~90% of the 512M-turn
-        # job's map CPU) and its inputs are low-cardinality (tool ~51
-        # distinct, __len ~66, conv_id ~30k per block) — value_counts is
-        # ~0.01-0.03 s, after which CMS inserts with counts,
-        # t-digest with weights, and HLL (multiplicity-insensitive) takes
-        # the distinct values alone. Sketches without a weighted path (KLL)
-        # fall back to the raw column; CMS/HLL states are bit-identical to
-        # unweighted insertion, t-digest centroids differ within its
-        # accuracy model (weighted insertion is its documented merge form).
-        lens_vals, lens_counts = np.unique(lens, return_counts=True)
-        col_vc: dict = {}
-
-        def _vc(col: str):
-            if col not in col_vc:
-                vc = pc.value_counts(batch[col])
-                col_vc[col] = (
-                    vc.field("values"),
-                    vc.field("counts").to_numpy().astype(np.int64),
-                )
-            return col_vc[col]
-
-        names, states = [], []
-        for name, (col, proto) in self.protos.items():
-            sk = pickle.loads(pickle.dumps(proto))
-            if col == "__len":
-                try:
-                    sk.insert_batch(lens_vals, lens_counts)
-                except TypeError:  # no weighted path (KLL)
-                    sk.insert_batch(np.asarray(lens, dtype=np.float64))
-            elif getattr(sk, "MULTIPLICITY_INSENSITIVE", False):
-                sk.insert_batch(_vc(col)[0])
-            else:
-                try:
-                    sk.insert_batch(*_vc(col))
-                except TypeError:
-                    sk.insert_batch(batch[col].combine_chunks())
-            names.append(name)
-            states.append(sk.to_bytes())
-        names.append("__counts")
+        # turn length in characters; null text counts as length 0
+        lens = pc.cast(pc.fill_null(pc.utf8_length(batch["text"]), 0), pa.float64())
+        states = sketch_partials(batch.append_column("__len", lens), self.protos)
         n_dups = int(pc.sum(pc.cast(batch[MARK_COL], "int64")).as_py() or 0)
         n_null = batch["text"].null_count
-        states.append(pickle.dumps((len(batch), n_dups, n_null)))
-        return pa.table(
-            {
-                "sketch": pa.array(names, pa.string()),
-                "state": pa.array(states, pa.binary()),
-            }
-        )
+        states["__counts"] = pickle.dumps((len(batch), n_dups, n_null))
+        return partials_table(states)
 
 
 class _FirstSeenSinkTail(SketchTail):
@@ -239,9 +198,7 @@ def run_flagship(
             print(f"[trace] flagship {name}: {now - _t0:.2f}s", file=_sys.stderr)
             _t0 = now
 
-    by_name: dict[str, list[bytes]] = {}
-    for row in partials.take_all():
-        by_name.setdefault(row["sketch"], []).append(row["state"])
+    by_name = gather_partials(partials)
     _mark_phase("plan+execute+take_all")
     if _trace:
         # per-operator wall/cpu breakdown of the fused pass — the scaling

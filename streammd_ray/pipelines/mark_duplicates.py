@@ -23,8 +23,6 @@ from typing import Any
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sketches.base import merge_all
-from ..sketches.bloom import BloomFilter
 from ..stages.dedup import (
     KEY_H1,
     KEY_H2,
@@ -60,13 +58,6 @@ class MarkResult:
         for s in self.shards:
             ray.kill(s)
         self.shards = []
-
-    def merged_filter(self) -> BloomFilter:
-        """OR of all shard states — for global estimates ONLY, never marking."""
-        import ray
-
-        states = ray.get([s.state.remote() for s in self.shards])
-        return merge_all([BloomFilter.from_bytes(b) for b in states])
 
     def check_capacity(self, allow_overcapacity: bool = False) -> dict:
         """Post-run capacity / marginal-FPR report; raises unless allowed."""

@@ -36,6 +36,15 @@ class Sketch(abc.ABC):
     #: subclasses set a short stable name used in serialization headers
     kind: str = "sketch"
 
+    # What ``insert_batch`` accepts; the per-batch inserter
+    # (``stages.sketch_agg.sketch_partials``) pre-aggregates a column by it.
+    #: the state ignores multiplicity: each distinct value once suffices
+    MULTIPLICITY_INSENSITIVE: bool = False
+    #: ``insert_batch(values, counts)`` takes a count/weight per value
+    WEIGHTED: bool = False
+    #: values are taken as float64 (the quantile sketches)
+    FLOAT_VALUES: bool = False
+
     @abc.abstractmethod
     def insert_batch(self, values) -> None:
         """Insert a column of values (numpy array / pyarrow Array / list)."""

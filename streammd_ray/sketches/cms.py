@@ -26,6 +26,7 @@ from .base import Sketch, require_writeable
 
 class CountMinSketch(Sketch):
     kind = "cms"
+    WEIGHTED = True
 
     def __init__(
         self,

@@ -27,6 +27,7 @@ _C = 2.0 / 3.0  # level capacity decay
 
 class KLL(Sketch):
     kind = "kll"
+    FLOAT_VALUES = True
 
     def __init__(self, k: int = 200, *, seed: int = 1234):
         self.k = int(k)

@@ -1,20 +1,12 @@
 from ..compat import apply_ray_patches as _apply_ray_patches
 from .dedup import (
     BloomMarkStage,
-    ConversationValidationError,
     add_key_columns,
     canonical_key,
     dedup_exact_first,
     make_shard_actors,
-    validate_conversations,
 )
 from .sketch_agg import (
-    BloomCountAgg,
-    CmsAgg,
-    HllAgg,
-    KllAgg,
-    SketchAgg,
-    TDigestAgg,
     run_sketches,
     sketch_column,
     tree_merge,
@@ -22,8 +14,6 @@ from .sketch_agg import (
 
 __all__ = [
     "BloomMarkStage",
-    "ConversationValidationError",
-    "validate_conversations",
     "add_key_columns",
     "canonical_key",
     "dedup_exact_first",
@@ -31,12 +21,6 @@ __all__ = [
     "run_sketches",
     "sketch_column",
     "tree_merge",
-    "SketchAgg",
-    "HllAgg",
-    "CmsAgg",
-    "TDigestAgg",
-    "KllAgg",
-    "BloomCountAgg",
 ]
 
 # the Ray 2.49 containments: every engine module that plans a Ray Data

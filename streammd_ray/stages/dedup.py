@@ -15,8 +15,8 @@ Three building blocks, one implementation each:
   to the shard actor ``h1 mod P`` (the shards, ``_BloomShard`` and
   ``make_shard_actors``, live in ``state/shards.py`` so a shard process
   imports only numpy and the filter; they are re-exported here). Marking
-  happens shard-locally during insert; the merged (ORed) filter is used
-  only for global estimates, never for marking (SURVEY.md §4.2).
+  happens shard-locally during insert. The shards own disjoint keys, so a
+  global estimate sums their ``stats`` (SURVEY.md §4.2).
   First-seen-wins is arrival-order within the Ray stream — exactly one row
   per distinct key survives (actor calls serialize), but *which* physical
   row is first is nondeterministic under parallelism, so order-sensitive
@@ -195,59 +195,6 @@ def make_mark_fn(shards):
         return stage(batch)
 
     return mark_fn
-
-
-class ConversationValidationError(ValueError):
-    """A conversation violates the input invariant (the analog of the
-    reference's group-arity error, src/markdups.cxx:96-103: it aborts when a
-    qname group doesn't have exactly reads_per_template records)."""
-
-
-def validate_conversations(ds, *, max_report: int = 5, num_partitions: int = 32):
-    """Enforce the input_hint ordering invariant: within each conv_id,
-    turn_idx is 0-based, contiguous and unique, and ts is non-decreasing.
-
-    Shuffles only (conv_id, turn_idx, ts) hash-partitioned by conv_id, and
-    checks every conversation of a partition with cython groupby kernels
-    (cumcount/diff) — one vectorized pass per partition, no per-conversation
-    Python. Raises ConversationValidationError naming offending
-    conversations; returns the input dataset unchanged on success."""
-    import pandas as pd_
-
-    from .windows import partitioned_group_apply
-
-    def check_partition(df: pd_.DataFrame) -> pd_.DataFrame:
-        df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
-        conv = df["conv_id"]
-        pos = conv.groupby(conv.values, sort=False).cumcount().to_numpy()
-        bad_idx = df["turn_idx"].to_numpy() != pos
-        ts_diff = (
-            df["ts"].astype("int64").groupby(conv.values, sort=False).diff()
-        )
-        bad_ts = (ts_diff < 0).to_numpy()
-        out = []
-        if bad_idx.any():
-            for c in pd_.unique(conv.to_numpy()[bad_idx]):
-                out.append((c, "turn_idx not contiguous/unique/0-based"))
-        if bad_ts.any():
-            idx_bad = set(conv.to_numpy()[bad_idx])
-            for c in pd_.unique(conv.to_numpy()[bad_ts]):
-                if c not in idx_bad:
-                    out.append((c, "ts not monotone non-decreasing"))
-        return pd_.DataFrame(out, columns=["conv_id", "why"])
-
-    offenders = partitioned_group_apply(
-        ds.select_columns(["conv_id", "turn_idx", "ts"]),
-        "conv_id",
-        check_partition,
-        num_partitions=num_partitions,
-    ).take(max_report)
-    if offenders:
-        msg = "; ".join(f"{r['conv_id']}: {r['why']}" for r in offenders)
-        raise ConversationValidationError(
-            f"input violates the (conv_id, turn_idx) invariant — {msg}"
-        )
-    return ds
 
 
 # ---------------------------------------------------------------------------

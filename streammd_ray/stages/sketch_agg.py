@@ -1,17 +1,14 @@
-"""Sketch aggregation stages — every sketch usable two ways:
+"""Sketch partials: the one per-batch inserter and the tree merge.
 
-1. **Scan path** (:func:`run_sketches` / :func:`sketch_column`): one fused
-   ``map_batches`` task pass emits one serialized partial per batch and
-   sketch; a tree reduction (:func:`tree_merge`, Ray tasks fanning in
-   ``MERGE_FANIN`` at a time) folds the partials. This is the 10^12-turn
-   path — per-block state is a few KB–MB, nothing materializes the dataset,
-   and the reduction is O(log P) depth regardless of partition count/order
-   (merge associativity, north_rule).
-
-2. **UDAF path** (:class:`HllAgg` etc., subclasses of Ray's
-   ``AggregateFnV2``): drop-in for ``ds.aggregate(...)`` and
-   ``ds.groupby(k).aggregate(...)`` — e.g. per-role distinct-text counts.
-   Ray performs the same block-partial + combine tree internally.
+:func:`sketch_partials` clones each sketch prototype, inserts one Arrow
+batch and serializes the result — one (sketch, state) row per sketch. It is
+the only inserter in the engine: the flagship's ``SketchTail`` and the scan
+of :func:`run_sketches` / :func:`sketch_column` (the catalog's estimate rows
+and the CLI's HLL) both call it, so the oracle rows check the flagship's own
+insert code. :func:`tree_merge` folds the partials in Ray tasks fanning in
+``MERGE_FANIN`` at a time: per-block state is a few KB–MB, nothing
+materializes the dataset, and the reduction is O(log P) deep whatever the
+partition count or order (merge associativity, north_rule).
 """
 
 from __future__ import annotations
@@ -20,13 +17,9 @@ import pickle
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sketches.base import Sketch, merge_all
-from ..sketches.bloom import BloomFilter
-from ..sketches.cms import CountMinSketch
-from ..sketches.hll import HyperLogLog
-from ..sketches.kll import KLL
-from ..sketches.tdigest import TDigest
 
 MERGE_FANIN = 32
 
@@ -36,11 +29,78 @@ def _column(batch: pa.Table, col: str):
     return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
 
 
-def _insert_column(sk: Sketch, values) -> None:
-    """Insert one Arrow column; the quantile sketches take it as float64."""
-    if isinstance(sk, (TDigest, KLL)):
-        values = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.float64)
-    sk.insert_batch(values)
+def sketch_partials(
+    batch: pa.Table, protos: dict[str, tuple[str, Sketch]]
+) -> dict[str, bytes]:
+    """Insert one batch into a fresh clone of every prototype; ``protos``
+    maps output name → (column, sketch prototype), the result maps output
+    name → serialized partial.
+
+    Each column is pre-aggregated once for every sketch that allows it,
+    from what the sketch class declares: a ``MULTIPLICITY_INSENSITIVE``
+    sketch (HLL) takes the distinct values, a ``WEIGHTED`` one the distinct
+    values with their counts (CMS; the t-digest, whose merge form is
+    weighted insertion), and the rest the raw column. ``FLOAT_VALUES``
+    sketches (t-digest, KLL) see the column as float64, so their distinct
+    values come from ``np.unique``. The per-batch inputs are low-cardinality
+    (tool ~51 distinct, turn length ~66, conv_id ~30k per 2M-row block), so
+    the distinct pass costs far less than the inserts it saves. Nulls are
+    skipped: the sketches drop null values and NaN floats with their counts.
+    """
+    distinct: dict = {}
+
+    def values(col: str, as_float: bool):
+        if as_float:
+            return np.asarray(
+                _column(batch, col).to_numpy(zero_copy_only=False), dtype=np.float64
+            )
+        return _column(batch, col)
+
+    def distinct_counts(col: str, as_float: bool):
+        key = (col, as_float)
+        if key not in distinct:
+            if as_float:
+                distinct[key] = np.unique(values(col, True), return_counts=True)
+            else:
+                vc = pc.value_counts(batch[col])
+                distinct[key] = (
+                    vc.field("values"),
+                    vc.field("counts").to_numpy().astype(np.int64),
+                )
+        return distinct[key]
+
+    states = {}
+    for name, (col, proto) in protos.items():
+        # a fresh, writable clone: a prototype that travelled with a task
+        # closure holds read-only views of the object store
+        sk = pickle.loads(pickle.dumps(proto))
+        if sk.MULTIPLICITY_INSENSITIVE:
+            sk.insert_batch(distinct_counts(col, sk.FLOAT_VALUES)[0])
+        elif sk.WEIGHTED:
+            sk.insert_batch(*distinct_counts(col, sk.FLOAT_VALUES))
+        else:
+            sk.insert_batch(values(col, sk.FLOAT_VALUES))
+        states[name] = sk.to_bytes()
+    return states
+
+
+def partials_table(states: dict[str, bytes]) -> pa.Table:
+    """The (sketch, state) rows a scan task emits."""
+    return pa.table(
+        {
+            "sketch": pa.array(list(states), pa.string()),
+            "state": pa.array(list(states.values()), pa.binary()),
+        }
+    )
+
+
+def gather_partials(partials) -> dict[str, list[bytes]]:
+    """Collect a partials dataset on the driver, grouped by sketch name. The
+    table is tiny (one row per sketch per batch): O(blocks), not O(rows)."""
+    by_name: dict[str, list[bytes]] = {}
+    for row in partials.take_all():
+        by_name.setdefault(row["sketch"], []).append(row["state"])
+    return by_name
 
 
 def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
@@ -70,42 +130,16 @@ def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
 
 def run_sketches(ds, specs: dict[str, tuple[str, Sketch]]) -> dict[str, Sketch]:
     """One scan, many sketches: ``specs`` maps output name → (column, sketch
-    prototype). Each batch inserts into a fresh clone of every prototype and
-    emits one (sketch, state) row per sketch — the five-sketch single-pass
-    of SURVEY.md §7.1 step 3 — and the driver tree-merges the partials.
-
-    The scan is a plain function (stateless tasks that fuse with the
-    upstream stages, the ``make_mark_fn`` pattern). The partials table is
-    tiny (one row per sketch per batch) — materializing it on the driver is
-    O(blocks), not O(rows).
-    """
-
-    # the prototypes travel as pickled bytes: unpickling them per batch gives
-    # fresh, writable clones (arrays deserialized with the closure itself
-    # are read-only views of the object store)
-    packed = pickle.dumps(specs)
+    prototype). Each batch runs :func:`sketch_partials` in a plain function
+    (stateless tasks that fuse with the upstream stages, the
+    ``make_mark_fn`` pattern) — the five-sketch single pass of SURVEY.md §7.1
+    step 3 — and the driver tree-merges the partials."""
 
     def scan(batch: pa.Table) -> pa.Table:
-        names, states = [], []
-        for name, (col, sk) in pickle.loads(packed).items():
-            _insert_column(sk, _column(batch, col))
-            names.append(name)
-            states.append(sk.to_bytes())
-        return pa.table(
-            {
-                "sketch": pa.array(names, pa.string()),
-                "state": pa.array(states, pa.binary()),
-            }
-        )
+        return partials_table(sketch_partials(batch, specs))
 
     partials = ds.map_batches(scan, batch_format="pyarrow", zero_copy_batch=True)
-    by_name: dict[str, list[bytes]] = {name: [] for name in specs}
-    for batch in partials.iter_batches(batch_format="pyarrow", batch_size=4096):
-        names = batch["sketch"].to_pylist()
-        states = batch["state"].to_pylist()
-        for n, s in zip(names, states):
-            by_name[n].append(s)
-    return {n: tree_merge(sts) for n, sts in by_name.items() if sts}
+    return {n: tree_merge(sts) for n, sts in gather_partials(partials).items()}
 
 
 def sketch_column(ds, col: str, proto: Sketch) -> Sketch:
@@ -132,103 +166,3 @@ def global_counts(ds, exprs: dict) -> dict:
         partial, batch_format="pyarrow", zero_copy_batch=True
     ).take_all()
     return {n: sum(r[n] for r in rows) for n in names}
-
-
-# ---------------------------------------------------------------------------
-# AggregateFnV2 adapters (UDAFs for ds.aggregate / groupby().aggregate)
-# ---------------------------------------------------------------------------
-
-try:
-    from ray.data.aggregate import AggregateFnV2
-    from ray.data.block import BlockAccessor
-
-    class SketchAgg(AggregateFnV2):
-        """Base adapter: accumulator = serialized sketch bytes."""
-
-        _proto: Sketch
-
-        def __init__(self, on: str, proto: Sketch, alias_name: str | None = None):
-            self._proto_bytes = proto.to_bytes()
-            self._finalize_mode = "estimate"
-            super().__init__(
-                alias_name or f"{proto.kind}({on})",
-                zero_factory=lambda: None,
-                on=on,
-                ignore_nulls=True,
-            )
-
-        def _new(self) -> Sketch:
-            return pickle.loads(self._proto_bytes)
-
-        def aggregate_block(self, block) -> bytes:
-            t = BlockAccessor.for_block(block).to_arrow()
-            sk = self._new()
-            _insert_column(sk, _column(t, self._target_col_name))
-            return sk.to_bytes()
-
-        def combine(self, acc, new):
-            if acc is None:
-                return new
-            if new is None:
-                return acc
-            a = pickle.loads(acc)
-            return a.merge(pickle.loads(new)).to_bytes()
-
-        def finalize(self, acc):
-            if acc is None:
-                return None
-            sk = pickle.loads(acc)
-            if self._finalize_mode == "bytes":
-                return acc
-            est = sk.estimate()
-            if isinstance(sk, HyperLogLog):
-                return float(est)
-            return est
-
-    class HllAgg(SketchAgg):
-        def __init__(self, on: str, precision: int = 14, alias_name=None):
-            super().__init__(on, HyperLogLog(precision), alias_name)
-
-    class CmsAgg(SketchAgg):
-        def __init__(self, on: str, eps=1e-4, delta=1e-3, track_heavy=16, alias_name=None):
-            super().__init__(
-                on,
-                CountMinSketch(eps=eps, delta=delta, track_heavy=track_heavy),
-                alias_name,
-            )
-
-        def finalize(self, acc):
-            if acc is None:
-                return None
-            return pickle.loads(acc).top_k()
-
-    class TDigestAgg(SketchAgg):
-        def __init__(self, on: str, delta=200.0, quantiles=(0.5, 0.9, 0.99), alias_name=None):
-            self._qs = quantiles
-            super().__init__(on, TDigest(delta), alias_name)
-
-        def finalize(self, acc):
-            if acc is None:
-                return None
-            sk = pickle.loads(acc)
-            return [float(sk.quantile(q)) for q in self._qs]
-
-    class KllAgg(SketchAgg):
-        def __init__(self, on: str, k=200, quantiles=(0.5, 0.9, 0.99), alias_name=None):
-            self._qs = quantiles
-            super().__init__(on, KLL(k), alias_name)
-
-        def finalize(self, acc):
-            if acc is None:
-                return None
-            sk = pickle.loads(acc)
-            return [float(sk.quantile(q)) for q in self._qs]
-
-    class BloomCountAgg(SketchAgg):
-        """Approximate distinct count via Bloom fill (Swamidass–Baldi)."""
-
-        def __init__(self, on: str, p=1e-4, capacity=1_000_000, alias_name=None):
-            super().__init__(on, BloomFilter(p, capacity), alias_name)
-
-except ImportError:  # pragma: no cover - AggregateFnV2 is in ray 2.49
-    SketchAgg = None  # type: ignore

@@ -187,43 +187,14 @@ def test_capacity_guard(ray_session):
     assert report["max_marginal_fpr"] > 1e-3
 
 
-def test_merged_filter_estimates(ray_session, fixture_table):
+def test_shard_count_estimates(ray_session, fixture_table):
+    # routing is h1 % P, so the shards own disjoint keys and the global
+    # distinct estimate is the sum of the per-shard estimates
     path, truth = fixture_table
     res = mark_duplicates(rd.read_parquet(path), p=1e-6, num_shards=4)
     res.marked.materialize()
-    merged = res.merged_filter()
+    est = sum(s["count_estimate"] for s in res.shard_stats())
     res.release()
     true_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
-    assert abs(merged.count_estimate() - true_distinct) / true_distinct < 0.02
-
-
-def test_validate_conversations(ray_session):
-    import pyarrow as pa
-
-    from streammd_ray.stages import ConversationValidationError, validate_conversations
-
-    good = pd.DataFrame(
-        {
-            "conv_id": ["c1", "c1", "c2"],
-            "turn_idx": np.array([0, 1, 0], dtype=np.int32),
-            "role": ["user"] * 3,
-            "text": ["a", "b", "c"],
-            "tool": pd.array([None] * 3, dtype="string"),
-            "ts": pd.to_datetime(["2025-01-01", "2025-01-02", "2025-01-01"]),
-        }
-    )
-    ds = rd.from_arrow(pa.Table.from_pandas(good, preserve_index=False))
-    validate_conversations(ds)  # no raise
-
-    bad = good.copy()
-    bad.loc[1, "turn_idx"] = 5  # gap
-    ds2 = rd.from_arrow(pa.Table.from_pandas(bad, preserve_index=False))
-    with pytest.raises(ConversationValidationError, match="contiguous"):
-        validate_conversations(ds2)
-
-    bad2 = good.copy()
-    bad2.loc[1, "ts"] = pd.Timestamp("2024-01-01")  # ts regression
-    ds3 = rd.from_arrow(pa.Table.from_pandas(bad2, preserve_index=False))
-    with pytest.raises(ConversationValidationError, match="monotone"):
-        validate_conversations(ds3)
+    assert abs(est - true_distinct) / true_distinct < 0.02
 

@@ -1,22 +1,20 @@
-"""Sketch aggregation: one-scan multi-sketch pass, tree merge, and the
-AggregateFnV2 UDAF adapters (global + grouped)."""
+"""Sketch aggregation: the one-scan multi-sketch pass, its parity with the
+flagship's tail, and the tree merge."""
+
+import pickle
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
+from streammd_ray.pipelines.flagship import SketchTail, default_sketch_specs
 from streammd_ray.sketches import KLL, CountMinSketch, HyperLogLog, TDigest
-from streammd_ray.stages import (
-    CmsAgg,
-    HllAgg,
-    KllAgg,
-    TDigestAgg,
-    run_sketches,
-    sketch_column,
-    tree_merge,
-)
+from streammd_ray.stages import run_sketches, sketch_column, tree_merge
+from streammd_ray.stages import sketch_agg
+from streammd_ray.stages.dedup import MARK_COL
 
 
 @pytest.fixture(scope="module")
@@ -82,39 +80,38 @@ def test_tree_merge_many_states(ray_session):
     assert abs(merged.estimate() - 70_000) / 70_000 < 0.04
 
 
-def test_udaf_global(ray_session, table):
-    ds = rd.from_arrow(pa.Table.from_pandas(table, preserve_index=False)).repartition(6)
-    res = ds.aggregate(
-        HllAgg("conv_id", alias_name="distinct_convs"),
-        TDigestAgg("text_len", quantiles=(0.5,), alias_name="len_p50"),
-        KllAgg("text_len", quantiles=(0.5,), alias_name="len_p50_kll"),
-        CmsAgg("tool", track_heavy=5, alias_name="top_tools"),
+def test_run_sketches_is_the_tail_path(ray_session, monkeypatch):
+    """The catalog scan and the flagship's tail insert through one function:
+    on one block, the partials run_sketches merges are byte-equal to the
+    states of one SketchTail call, for all four sketches."""
+    rng = np.random.default_rng(5)
+    n = 4000
+    lengths = rng.integers(0, 300, n)
+    text = [None if i % 97 == 0 else "x" * int(k) for i, k in enumerate(lengths)]
+    batch = pa.table(
+        {
+            "conv_id": np.char.add("c", rng.integers(0, 600, n).astype(str)),
+            "tool": np.char.add("tool-", np.clip(rng.zipf(1.5, n), 1, 40).astype(str)),
+            "text": pa.array(text, pa.string()),
+            MARK_COL: rng.random(n) < 0.2,
+        }
     )
-    true_convs = table["conv_id"].nunique()
-    assert abs(res["distinct_convs"] - true_convs) / true_convs < 0.05
-    true_med = float(np.quantile(table["text_len"], 0.5))
-    assert abs(res["len_p50"][0] - true_med) / true_med < 0.05
-    assert abs(res["len_p50_kll"][0] - true_med) / true_med < 0.05
-    assert res["top_tools"][0][0] == "tool-1"
+    specs = default_sketch_specs()
+    tail_out = SketchTail(pickle.dumps(specs))(batch)
+    tail_states = dict(zip(tail_out["sketch"].to_pylist(), tail_out["state"].to_pylist()))
 
+    lens = pc.cast(pc.fill_null(pc.utf8_length(batch["text"]), 0), pa.float64())
+    ds = rd.from_arrow(batch.append_column("__len", lens))
+    assert ds.num_blocks() == 1
+    merged_inputs = []
 
-def test_udaf_grouped(ray_session, table):
-    ds = rd.from_arrow(pa.Table.from_pandas(table, preserve_index=False)).repartition(6)
-    out = (
-        ds.groupby("role")
-        .aggregate(HllAgg("conv_id", alias_name="distinct_convs"))
-        .to_pandas()
-        .set_index("role")["distinct_convs"]
-    )
-    truth = table.groupby("role")["conv_id"].nunique()
-    for role, true_n in truth.items():
-        assert abs(out[role] - true_n) / true_n < 0.05, role
+    def recording_merge(states, **kw):
+        merged_inputs.append(list(states))
+        return tree_merge(states, **kw)
 
-
-def test_bloom_count_agg(ray_session, table):
-    from streammd_ray.stages import BloomCountAgg
-
-    ds = rd.from_arrow(pa.Table.from_pandas(table, preserve_index=False)).repartition(4)
-    est = ds.aggregate(BloomCountAgg("conv_id", p=1e-4, capacity=100_000, alias_name="approx_convs"))
-    true_n = table["conv_id"].nunique()
-    assert abs(est["approx_convs"] - true_n) / true_n < 0.02
+    monkeypatch.setattr(sketch_agg, "tree_merge", recording_merge)
+    out = run_sketches(ds, specs)
+    assert set(out) == set(specs)
+    scanned = dict(zip(out, merged_inputs))
+    for name in specs:
+        assert scanned[name] == [tail_states[name]], name
