@@ -28,6 +28,7 @@ from ..stages.sketch_agg import (
     sketch_partials,
     tree_merge,
 )
+from ..state.checkpoint import DISK_COMPRESSION
 from .mark_duplicates import MarkResult, mark_duplicates, metrics_json
 
 
@@ -52,7 +53,8 @@ class SketchTail:
     ``output_dir`` turns the tail into a streaming SINK as well: each block
     is written to its own parquet part file (tmp + atomic rename, name
     derived from the Ray task id so a task retry overwrites its own file
-    idempotently) BEFORE sketching — mark + sketch + persist in ONE pass
+    idempotently; zstd level 1, ``state.checkpoint.DISK_COMPRESSION``)
+    BEFORE sketching — mark + sketch + persist in ONE pass
     with no whole-table materialization, the 100-TB-shaped write path."""
 
     def __init__(self, specs_bytes: bytes, *, output_dir: str | None = None):
@@ -90,7 +92,7 @@ class SketchTail:
         self._ordinals[tid] = [attempt, ordinal + 1]
         path = os.path.join(self.output_dir, f"part-{tid}-{ordinal:05d}.parquet")
         tmp = path + ".tmp"
-        pq.write_table(batch, tmp)
+        pq.write_table(batch, tmp, **DISK_COMPRESSION)
         os.replace(tmp, path)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

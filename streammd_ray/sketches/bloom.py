@@ -32,7 +32,7 @@ import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
 from . import _native
-from .base import Sketch, SketchError, require_writeable
+from .base import Sketch, require_writeable, state_array
 
 _MEMSPEC_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([KMGT]?)(i?)B?\s*$", re.IGNORECASE)
 
@@ -341,6 +341,26 @@ class BloomFilter(Sketch):
 
     def __len__(self) -> int:
         return self.n_added
+
+    # --- layout ---------------------------------------------------------------
+
+    def _init_kwargs(self) -> dict:
+        return {"p": self.p, "m": self.m, "k": self.k, "seeds": list(self.seeds)}
+
+    def empty(self) -> "BloomFilter":
+        out = super().empty()
+        out.n = self.n  # a (p, n)-sized filter keeps its nominal capacity
+        return out
+
+    def _state(self):
+        scalars = {"n": self.n, "hasher": self.hasher, "n_added": self.n_added}
+        return scalars, {"bits": self._bits}
+
+    def _set_state(self, scalars, arrays) -> None:
+        self.n = int(scalars["n"])
+        self.hasher = scalars["hasher"]
+        self.n_added = int(scalars["n_added"])
+        self._bits = state_array(arrays, "bits", np.uint64, self._bits.shape)
 
 
 #: one x86 cache line. The split filter confines all k probes of a key to a

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
-from .base import Sketch, require_writeable
+from .base import Sketch, SketchError, require_writeable, state_array
 
 
 class CountMinSketch(Sketch):
@@ -129,3 +129,35 @@ class CountMinSketch(Sketch):
             self.heavy = {k: int(e) for k, e in zip(union, est)}
             self._truncate_heavy()
         return self
+
+    # --- layout ---------------------------------------------------------------
+
+    def _init_kwargs(self) -> dict:
+        return {
+            "eps": self.eps,
+            "delta": self.delta,
+            "track_heavy": self.track_heavy,
+            "seeds": list(self.seeds),
+        }
+
+    def _state(self):
+        heavy = []
+        for key, est in self.heavy.items():
+            if isinstance(key, np.generic):
+                key = key.item()  # a key taken from a numpy column
+            if type(key) not in (str, int, float):
+                raise SketchError(
+                    f"count-min heavy key {key!r} is a {type(key).__name__}; "
+                    "the state layout keeps str, int and float keys"
+                )
+            heavy.append([key, est])
+        scalars = {"hasher": self.hasher, "total": self.total, "heavy": heavy}
+        return scalars, {"counts": self.counts}
+
+    def _set_state(self, scalars, arrays) -> None:
+        self.hasher = scalars["hasher"]
+        self.total = int(scalars["total"])
+        self.heavy = {key: int(est) for key, est in scalars["heavy"]}
+        self.counts = state_array(
+            arrays, "counts", np.int64, (self.depth, self.width)
+        )

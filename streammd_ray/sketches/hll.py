@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ..hashing import HASHER_ID, SEED_A, hash64_batch, valid_mask
-from .base import Sketch, require_writeable
+from .base import Sketch, require_writeable, state_array
 
 
 class HyperLogLog(Sketch):
@@ -89,3 +89,15 @@ class HyperLogLog(Sketch):
         self.check_compatible(other)
         np.maximum(self.regs, other.regs, out=self.regs)
         return self
+
+    # --- layout ---------------------------------------------------------------
+
+    def _init_kwargs(self) -> dict:
+        return {"precision": self.p, "seed": self.seed}
+
+    def _state(self):
+        return {"hasher": self.hasher}, {"regs": self.regs}
+
+    def _set_state(self, scalars, arrays) -> None:
+        self.hasher = scalars["hasher"]
+        self.regs = state_array(arrays, "regs", np.uint8, (self.m,))

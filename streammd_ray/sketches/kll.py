@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .base import Sketch
+from .base import Sketch, SketchError, state_array
 
 _C = 2.0 / 3.0  # level capacity decay
 
@@ -142,3 +142,30 @@ class KLL(Sketch):
         self._rng_counter += other._rng_counter  # decorrelate future coins
         self._compact_if_needed()
         return self
+
+    # --- layout ---------------------------------------------------------------
+
+    def _init_kwargs(self) -> dict:
+        return {"k": self.k, "seed": self.seed}
+
+    def _state(self):
+        # the coin counter travels too, so the next compaction of a decoded
+        # sketch draws the same offsets as the original would
+        scalars = {
+            "n": self.n,
+            "min": self.min,
+            "max": self.max,
+            "rng_counter": self._rng_counter,
+        }
+        sizes = np.array([a.size for a in self.levels], dtype=np.int64)
+        return scalars, {"sizes": sizes, "items": np.concatenate(self.levels)}
+
+    def _set_state(self, scalars, arrays) -> None:
+        self.n = int(scalars["n"])
+        self.min, self.max = float(scalars["min"]), float(scalars["max"])
+        self._rng_counter = int(scalars["rng_counter"])
+        sizes = state_array(arrays, "sizes", np.int64)
+        items = state_array(arrays, "items", np.float64, (int(sizes.sum()),))
+        if sizes.size == 0 or (sizes < 0).any():
+            raise SketchError(f"bad KLL level sizes {sizes.tolist()}")
+        self.levels = np.split(items, np.cumsum(sizes)[:-1])

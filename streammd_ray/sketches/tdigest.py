@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .base import Sketch
+from .base import Sketch, state_array
 
 
 class TDigest(Sketch):
@@ -143,14 +143,24 @@ class TDigest(Sketch):
     def estimate(self) -> dict:
         return {q: self.quantile(q) for q in (0.5, 0.9, 0.99)}
 
-    # --- serde ----------------------------------------------------------------
+    # --- layout ---------------------------------------------------------------
 
-    def __getstate__(self):
-        # compress before pickling: a serialized partial is ~delta centroids
+    def _init_kwargs(self) -> dict:
+        return {"delta": self.delta, "buffer_size": self.buffer_size}
+
+    def _state(self):
+        # flush the buffer first: a serialized partial is ~delta centroids
         # (a few KB), not the raw insert buffer (up to buffer_size floats) —
         # partials travel through the object store and driver merges
         self._compress()
-        return self.__dict__
+        scalars = {"total": self.total, "min": self.min, "max": self.max}
+        return scalars, {"means": self.means, "weights": self.weights}
+
+    def _set_state(self, scalars, arrays) -> None:
+        self.total = float(scalars["total"])
+        self.min, self.max = float(scalars["min"]), float(scalars["max"])
+        self.means = state_array(arrays, "means", np.float64)
+        self.weights = state_array(arrays, "weights", np.float64, self.means.shape)
 
     # --- merge ----------------------------------------------------------------
 

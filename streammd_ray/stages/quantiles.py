@@ -29,7 +29,6 @@ import pickle
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def _column_values(t: pa.Table, col: str) -> np.ndarray:

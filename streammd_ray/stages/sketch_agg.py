@@ -1,19 +1,17 @@
 """Sketch partials: the one per-batch inserter and the tree merge.
 
-:func:`sketch_partials` clones each sketch prototype, inserts one Arrow
-batch and serializes the result — one (sketch, state) row per sketch. It is
-the only inserter in the engine: the flagship's ``SketchTail`` and the scan
-of :func:`run_sketches` / :func:`sketch_column` (the catalog's estimate rows
-and the CLI's HLL) both call it, so the oracle rows check the flagship's own
-insert code. :func:`tree_merge` folds the partials in Ray tasks fanning in
+:func:`sketch_partials` takes an empty copy of each sketch prototype,
+inserts one Arrow batch and serializes the result — one (sketch, state) row
+per sketch. It is the only inserter in the engine: the flagship's
+``SketchTail`` and the scan of :func:`run_sketches` / :func:`sketch_column`
+(the catalog's estimate rows and the CLI's HLL) both call it, so the oracle
+rows check the flagship's own insert code. :func:`tree_merge` folds the partials in Ray tasks fanning in
 ``MERGE_FANIN`` at a time: per-block state is a few KB–MB, nothing
 materializes the dataset, and the reduction is O(log P) deep whatever the
 partition count or order (merge associativity, north_rule).
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -32,7 +30,7 @@ def _column(batch: pa.Table, col: str):
 def sketch_partials(
     batch: pa.Table, protos: dict[str, tuple[str, Sketch]]
 ) -> dict[str, bytes]:
-    """Insert one batch into a fresh clone of every prototype; ``protos``
+    """Insert one batch into an empty copy of every prototype; ``protos``
     maps output name → (column, sketch prototype), the result maps output
     name → serialized partial.
 
@@ -71,9 +69,9 @@ def sketch_partials(
 
     states = {}
     for name, (col, proto) in protos.items():
-        # a fresh, writable clone: a prototype that travelled with a task
+        # a fresh, writable copy: a prototype that travelled with a task
         # closure holds read-only views of the object store
-        sk = pickle.loads(pickle.dumps(proto))
+        sk = proto.empty()
         if sk.MULTIPLICITY_INSENSITIVE:
             sk.insert_batch(distinct_counts(col, sk.FLOAT_VALUES)[0])
         elif sk.WEIGHTED:
@@ -114,18 +112,18 @@ def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
     if not states:
         raise ValueError("tree_merge of no states")
     if len(states) <= fanin:
-        return merge_all([pickle.loads(s) for s in states])
+        return merge_all([Sketch.from_bytes(s) for s in states])
 
     @ray.remote(num_cpus=1)
     def _fold(chunk: list[bytes]) -> bytes:
-        return merge_all([pickle.loads(s) for s in chunk]).to_bytes()
+        return merge_all([Sketch.from_bytes(s) for s in chunk]).to_bytes()
 
     while len(states) > fanin:
         futures = [
             _fold.remote(states[i : i + fanin]) for i in range(0, len(states), fanin)
         ]
         states = ray.get(futures)
-    return merge_all([pickle.loads(s) for s in states])
+    return merge_all([Sketch.from_bytes(s) for s in states])
 
 
 def run_sketches(ds, specs: dict[str, tuple[str, Sketch]]) -> dict[str, Sketch]:

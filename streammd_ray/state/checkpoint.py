@@ -24,14 +24,65 @@ adds the piece a multi-node run needs. Model:
 This is the "partitioned parquet output + manifest of completed partitions"
 layout the scale guidance calls for — a failed 100-TB run resumes at wave
 granularity instead of restarting.
+
+On disk (manifest ``"format": 2``), every byte is zstd level 1
+(``DISK_COMPRESSION``):
+
+- ``output_dir/wave-{i}/part-*.parquet`` — the marked table, zstd-compressed
+  parquet pages;
+- ``ckpt_dir/shards/wave-{i}/shard-{j}.bloom`` — one shard's filter in the
+  sketch state layout (``sketches/base.py``), framed by :func:`compress`
+  (u64 raw size, then one zstd frame); ``counters.json`` beside them;
+- ``ckpt_dir/manifest.json`` — config, lineage and per-wave counters; each
+  wave's sketch states are base64 of :func:`compress` of their layout.
+
+A manifest of another format (format 1 held hex-encoded pickled sketches
+and had no ``"format"`` key) is refused with a ``ValueError``: it is never
+misread and never silently restarted. Nothing decodes a state with
+``pickle``. The shard processes and the in-memory partials carry the layout
+uncompressed; only this module compresses, so pyarrow stays out of a shard
+process.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import json
 import os
 import shutil
+import struct
 import uuid
+
+#: the manifest's layout version; see the module docstring
+FORMAT = 2
+
+#: the compression of every byte a checkpointed job writes: shard
+#: snapshots and manifest states (``pa.Codec(**DISK_COMPRESSION)``) and the
+#: part files (``pq.write_table(..., **DISK_COMPRESSION)``)
+DISK_COMPRESSION = {"compression": "zstd", "compression_level": 1}
+
+_RAW_SIZE = struct.Struct("<Q")
+
+
+@functools.cache
+def _codec():
+    # imported here: a shard process imports this package, not pyarrow
+    import pyarrow as pa
+
+    return pa.Codec(**DISK_COMPRESSION)
+
+
+def compress(raw: bytes) -> bytes:
+    """Frame ``raw`` for disk: its size (u64 LE), then one zstd frame."""
+    return _RAW_SIZE.pack(len(raw)) + _codec().compress(raw, asbytes=True)
+
+
+def decompress(data: bytes) -> bytes:
+    """Inverse of :func:`compress`."""
+    (size,) = _RAW_SIZE.unpack_from(data)
+    body = memoryview(data)[_RAW_SIZE.size :]
+    return _codec().decompress(body, decompressed_size=size, asbytes=True)
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -43,10 +94,17 @@ def _atomic_write_json(path: str, obj) -> None:
 
 def _load_manifest(ckpt_dir: str) -> dict | None:
     path = os.path.join(ckpt_dir, "manifest.json")
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)
-    return None
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        manifest = json.load(f)
+    found = manifest.get("format", 1)
+    if found != FORMAT:
+        raise ValueError(
+            f"{path} is checkpoint format {found}; this engine reads format "
+            f"{FORMAT} only — use a fresh ckpt_dir"
+        )
+    return manifest
 
 
 def _snapshot_shards(shards, ckpt_dir: str, tag: str) -> None:
@@ -61,7 +119,7 @@ def _snapshot_shards(shards, ckpt_dir: str, tag: str) -> None:
     for j, b in enumerate(states):
         tmp = os.path.join(state_dir, f"shard-{j}.bloom.tmp")
         with open(tmp, "wb") as f:
-            f.write(b)
+            f.write(compress(b))
         os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
     shard_counters = [
         {"keys_seen": s["keys_seen"], "dups": s["dups"]}
@@ -79,7 +137,8 @@ def _restore_shards(shards, ckpt_dir: str, tag: str) -> None:
     futures = []
     for j, (s, c) in enumerate(zip(shards, counters)):
         with open(os.path.join(state_dir, f"shard-{j}.bloom"), "rb") as f:
-            futures.append(s.load.remote(f.read(), c["keys_seen"], c["dups"]))
+            state = decompress(f.read())
+        futures.append(s.load.remote(state, c["keys_seen"], c["dups"]))
     ray.get(futures)
 
 
@@ -122,8 +181,6 @@ def run_flagship_checkpointed(
     Returns ``(manifest, merged_sketches)``. The marked table lands under
     ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave.
     """
-    import pickle
-
     import ray
     import ray.data as rd
 
@@ -131,7 +188,7 @@ def run_flagship_checkpointed(
     from ..hashing import HASHER_ID
     from ..pipelines.flagship import run_flagship
     from ..pipelines.mark_duplicates import metrics_json
-    from ..sketches.base import merge_all
+    from ..sketches.base import Sketch, merge_all
     from .shards import make_shard_actors
 
     input_files = sorted(input_files)
@@ -164,6 +221,7 @@ def run_flagship_checkpointed(
             )
     else:
         manifest = {
+            "format": FORMAT,
             "run_id": str(uuid.uuid4()),
             "config": config,
             "input_files": input_files,
@@ -214,7 +272,8 @@ def run_flagship_checkpointed(
                 "parts": sorted(os.listdir(wave_out)),
                 "metrics": {k: int(v) for k, v in res.counters.items()},
                 "sketches": {
-                    n: sk.to_bytes().hex() for n, sk in res.sketches.items()
+                    n: base64.b64encode(compress(sk.to_bytes())).decode("ascii")
+                    for n, sk in res.sketches.items()
                 },
             }
             _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
@@ -237,7 +296,7 @@ def run_flagship_checkpointed(
     merged = {
         n: merge_all(
             [
-                pickle.loads(bytes.fromhex(w["sketches"][n]))
+                Sketch.from_bytes(decompress(base64.b64decode(w["sketches"][n])))
                 for w in done_waves
                 if n in w["sketches"]
             ]

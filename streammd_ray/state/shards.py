@@ -155,6 +155,8 @@ class _BloomShard:
         self._sealed = False
 
     def state(self) -> bytes:
+        """The filter in the sketch state layout, uncompressed (the
+        checkpoint driver compresses it on its way to disk)."""
         return self.bf.to_bytes()
 
     def load(self, data: bytes, keys_seen: int = 0, dups: int = 0) -> None:

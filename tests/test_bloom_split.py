@@ -278,10 +278,11 @@ def test_checkpoint_resume_guards_layout(ray_session, tmp_path):
     snapshots are layout-specific bit arrays)."""
     import glob
     import os
-    import pickle
 
+    from streammd_ray.sketches.base import Sketch
     from streammd_ray.sources import generate_transcripts
     from streammd_ray.state import run_flagship_checkpointed
+    from streammd_ray.state.checkpoint import decompress
 
     out = str(tmp_path / "gen")
     paths, _ = generate_transcripts(
@@ -303,7 +304,7 @@ def test_checkpoint_resume_guards_layout(ray_session, tmp_path):
     assert snapshots
     for path in snapshots:
         with open(path, "rb") as f:
-            assert pickle.loads(f.read()).kind == "bloom_split"
+            assert Sketch.from_bytes(decompress(f.read())).kind == "bloom_split"
     with pytest.raises(ValueError, match="mismatch"):
         run_flagship_checkpointed(
             paths,

@@ -6,6 +6,7 @@ import glob
 import json
 import os
 
+import numpy as np
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
@@ -132,3 +133,63 @@ def test_cli_checkpoint_dir_rejects_unsupported_flags(tmp_path, capsys, flags):
     ]  # fmt: skip
     assert cli.main(argv) == 2
     assert flags[0] in capsys.readouterr().err
+
+
+def test_resume_refuses_format_1_manifest(tmp_path):
+    """A manifest from before format 2 (hex-encoded pickled sketch states,
+    no ``"format"`` key) is refused by name, not misread or restarted."""
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    old = {
+        "run_id": "r",
+        "config": {},
+        "input_files": [],
+        "n_waves": 1,
+        "waves": {"0": {"status": "done", "sketches": {"convs_hll": "80059500"}}},
+    }
+    (ckpt / "manifest.json").write_text(json.dumps(old))
+    with pytest.raises(ValueError, match="format 1; this engine reads format 2"):
+        run_flagship_checkpointed(
+            [], ckpt_dir=str(ckpt), output_dir=str(tmp_path / "out")
+        )
+    assert json.loads((ckpt / "manifest.json").read_text()) == old
+
+
+@pytest.mark.parametrize("layout", [None, "split"])
+def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout):
+    """Each compressed ``shard-{j}.bloom`` decodes to a filter whose bits
+    equal the live shard's ``state()``; restoring from them reloads it."""
+    import ray
+
+    from streammd_ray.sketches import BloomFilter
+    from streammd_ray.state.checkpoint import (
+        _restore_shards,
+        _snapshot_shards,
+        decompress,
+    )
+    from streammd_ray.state.shards import make_shard_actors
+
+    shards = make_shard_actors(2, mem="64KiB", layout=layout)
+    try:
+        h = np.arange(1, 5_001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        ray.get([s.add.remote(h[j::2], h[j::2] >> np.uint64(7)) for j, s in enumerate(shards)])
+        _snapshot_shards(shards, str(tmp_path), "wave-0")
+        live = [BloomFilter.from_bytes(b) for b in ray.get([s.state.remote() for s in shards])]
+        for j, want in enumerate(live):
+            path = tmp_path / "shards" / "wave-0" / f"shard-{j}.bloom"
+            raw = path.read_bytes()
+            assert len(raw) < want._bits.nbytes  # compressed on disk
+            got = BloomFilter.from_bytes(decompress(raw))
+            assert type(got) is type(want) and got.n_added == want.n_added
+            assert np.array_equal(got._bits, want._bits)
+        fresh = make_shard_actors(2, mem="64KiB", layout=layout)
+        try:
+            _restore_shards(fresh, str(tmp_path), "wave-0")
+            reloaded = ray.get([s.state.remote() for s in fresh])
+            assert reloaded == ray.get([s.state.remote() for s in shards])
+        finally:
+            for s in fresh:
+                ray.kill(s)
+    finally:
+        for s in shards:
+            ray.kill(s)

@@ -115,3 +115,31 @@ def test_run_sketches_is_the_tail_path(ray_session, monkeypatch):
     scanned = dict(zip(out, merged_inputs))
     for name in specs:
         assert scanned[name] == [tail_states[name]], name
+
+
+def test_empty_copy_shares_no_array_with_its_prototype():
+    """``sketch_partials`` inserts into ``proto.empty()``: same parameters,
+    fresh writable state, no memory shared with the prototype (which may
+    be a read-only object-store view)."""
+    from streammd_ray.sketches import BloomFilter, SplitBlockBloomFilter
+
+    protos = [
+        *(proto for _, proto in default_sketch_specs().values()),
+        BloomFilter(1e-6, n=1_000),
+        SplitBlockBloomFilter(1e-6, m=1 << 14),
+    ]
+    for proto in protos:
+        copy = proto.empty()
+        assert type(copy) is type(proto)
+        assert copy._compat_key() == proto._compat_key()
+        assert copy.to_bytes() == proto.to_bytes()  # both empty
+        arrays = [_arrays(copy), _arrays(proto)]
+        assert arrays[0], proto.kind
+        for a in arrays[0]:
+            assert a.flags.writeable, proto.kind
+            assert not any(np.shares_memory(a, b) for b in arrays[1]), proto.kind
+
+
+def _arrays(sk) -> list:
+    out = [v for v in vars(sk).values() if isinstance(v, np.ndarray)]
+    return out + list(getattr(sk, "levels", []))

@@ -336,3 +336,137 @@ def test_native_kernels_refuse_read_only_bits():
     with pytest.raises(ctypes.ArgumentError):
         nat.split_tas(bits, np.uint64(128), 1, mul, h, h, np.int64(8), seen)
     assert not bits.any()
+
+
+# ---------------- state layout ----------------
+
+
+def _state_equal(a, b) -> bool:
+    """Every attribute equal, arrays by value (KLL levels element-wise)."""
+    da, db = vars(a), vars(b)
+    if da.keys() != db.keys():
+        return False
+    for key, va in da.items():
+        vb = db[key]
+        if key == "levels":
+            if len(va) != len(vb) or not all(map(np.array_equal, va, vb)):
+                return False
+        elif isinstance(va, np.ndarray):
+            if not (np.array_equal(va, vb) and va.dtype == vb.dtype):
+                return False
+        elif va != vb and not (va != va and vb != vb):  # NaN == NaN here
+            return False
+    return True
+
+
+def _filled_kll():
+    kll = KLL(k=20)
+    kll.insert_batch(RNG.random(5_000))
+    assert len(kll.levels) >= 3
+    return kll
+
+
+def _filled_tdigest():
+    td = TDigest(buffer_size=100_000)
+    td.insert_batch(RNG.normal(size=2_000))
+    assert td._buf  # the buffer is not flushed yet
+    return td
+
+
+def _filled(cls, keys):
+    def make():
+        sk = cls()
+        sk.insert_batch(keys)
+        return sk
+
+    return make
+
+
+_LAYOUT_CASES = {
+    "hll": _filled(HyperLogLog, np.arange(20_000).astype(str)),
+    "cms-str": _filled(
+        lambda: CountMinSketch(eps=1e-2, delta=1e-2, track_heavy=4),
+        np.array(["a", "b", "a", "c"] * 50),
+    ),
+    "cms-int": _filled(
+        lambda: CountMinSketch(eps=1e-2, delta=1e-2, track_heavy=4),
+        np.array([1, 2, 1, 3] * 50),
+    ),
+    "tdigest": _filled_tdigest,
+    "kll": _filled_kll,
+    "bloom": _filled(lambda: BloomFilter(1e-6, n=5_000), [f"k{i}" for i in range(2_000)]),
+    "bloom_split-pow2": _filled(
+        lambda: SplitBlockBloomFilter(1e-6, m=1 << 16), [f"k{i}" for i in range(2_000)]
+    ),
+    "bloom_split-nonpow2": _filled(
+        lambda: SplitBlockBloomFilter(1e-6, m=512 * 97), [f"k{i}" for i in range(2_000)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_layout_roundtrip_is_state_identical(case):
+    from streammd_ray.sketches import Sketch
+
+    sk = _LAYOUT_CASES[case]()
+    data = sk.to_bytes()
+    back = Sketch.from_bytes(data)
+    assert type(back) is type(sk)
+    assert _state_equal(back, sk)
+    assert back.estimate() == sk.estimate()
+    assert back.to_bytes() == data
+    if case.startswith("cms"):
+        assert {type(k) for k in back.heavy} == {
+            str if case == "cms-str" else int
+        }
+    if case == "kll":  # the coin counter came along: the next compaction matches
+        more = RNG.random(3_000)
+        sk.insert_batch(more)
+        back.insert_batch(more)
+        assert _state_equal(back, sk)
+
+
+@pytest.mark.parametrize("case", ["hll", "cms-str", "tdigest", "kll", "bloom", "bloom_split-pow2"])
+def test_layout_decoded_from_object_store_is_writable(ray_session, case):
+    """A state that came back from ``ray.get`` is a read-only buffer; the
+    decoded sketch owns its arrays, so it takes inserts and merges."""
+    import ray
+
+    from streammd_ray.sketches import Sketch
+
+    sk = _LAYOUT_CASES[case]()
+    back = Sketch.from_bytes(ray.get(ray.put(sk.to_bytes())))
+    vals = RNG.random(500) if back.FLOAT_VALUES else [f"new{i}" for i in range(500)]
+    back.insert_batch(vals)
+    back.merge(_LAYOUT_CASES[case]())
+
+
+def test_layout_rejects_bad_input():
+    import pickle
+    import struct
+
+    from streammd_ray.sketches import Sketch, SketchError
+    from streammd_ray.sketches.base import MAGIC
+
+    data = HyperLogLog(precision=8).to_bytes()
+    for cut in (3, 10, len(data) - 1):
+        with pytest.raises(SketchError, match="truncated"):
+            Sketch.from_bytes(data[:cut])
+    with pytest.raises(SketchError, match="version"):
+        Sketch.from_bytes(MAGIC + struct.pack("<H", 99) + data[6:])
+    kind = data.index(b"hll")
+    with pytest.raises(SketchError, match="unknown sketch kind"):
+        Sketch.from_bytes(data[:kind] + b"xyz" + data[kind + 3 :])
+    with pytest.raises(SketchError, match="magic"):
+        Sketch.from_bytes(pickle.dumps(HyperLogLog(precision=8)))
+    with pytest.raises(SketchError, match="expected KLL"):
+        KLL.from_bytes(data)
+
+
+def test_layout_refuses_unencodable_heavy_key():
+    from streammd_ray.sketches import SketchError
+
+    cms = CountMinSketch(eps=1e-2, delta=1e-2, track_heavy=4)
+    cms.heavy[("a", "tuple")] = 1
+    with pytest.raises(SketchError, match="tuple"):
+        cms.to_bytes()
