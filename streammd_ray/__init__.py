@@ -10,10 +10,7 @@ zero-copy Arrow batches, with the Bloom state in shard actors.
 
 Importing the package loads nothing heavy: ``sketches`` and ``state.shards``
 need only numpy (and polars once a column is hashed), so a Bloom shard
-process starts without Ray Data. The Ray 2.49 containments in ``compat``
-are applied when ``streammd_ray.stages`` is imported; every module that
-plans a Ray Data pipeline (``pipelines``, ``queries``, the transcript
-derivation) goes through it.
+process starts without Ray Data.
 """
 
 __version__ = "0.1.0"

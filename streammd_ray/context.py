@@ -38,15 +38,12 @@ def auto_num_partitions(
 ) -> int:
     """Shuffle/join partition count sized to the cluster.
 
-    ``per_cpu`` partitions per cluster CPU (default 0.5: Ray 2.49's hash
-    shuffle spawns one aggregator ACTOR per partition up to
-    ``max_hash_shuffle_aggregators``, and those actors reserve CPU alongside
-    the map tasks feeding them — at one partition per core the two pools
-    contend and the join runs ~50% slower; measured on this box at 32 CPUs:
-    8p=3.4s, 16p=3.7s, 32p=5.1s for dedup_exact_first over 16M turns).
-    Half a reducer slot per core keeps both pools fed on any cluster size.
-    Raised to ``bytes_hint / TARGET_PARTITION_BYTES`` when the caller can
-    estimate the shuffled bytes (partitions must also bound reducer memory),
+    ``per_cpu`` partitions per cluster CPU (default 0.5, chosen when exact
+    dedup ran as a Ray 2.49 hash join whose aggregator actors reserved CPU
+    beside the map tasks feeding them; measured at 32 CPUs: 8p=3.4s,
+    16p=3.7s, 32p=5.1s for dedup_exact_first over 16M turns). Raised to
+    ``bytes_hint / TARGET_PARTITION_BYTES`` when the caller can estimate
+    the shuffled bytes (partitions must also bound reducer memory),
     clamped to [floor, cap]. The floor keeps small test runs parallel enough
     to exercise the multi-partition code paths; the cap bounds scheduler
     pressure on very large clusters.

@@ -37,7 +37,6 @@ class KLL(Sketch):
         self.n = 0
         self.min = math.inf
         self.max = -math.inf
-        self._compacted = True
 
     @property
     def rank_error(self) -> float:
@@ -63,7 +62,6 @@ class KLL(Sketch):
         self.min = min(self.min, float(v.min()))
         self.max = max(self.max, float(v.max()))
         self.levels[0] = np.concatenate([self.levels[0], v])
-        self._compacted = False
         self._compact_if_needed()
 
     def _compact_if_needed(self) -> None:
@@ -79,7 +77,6 @@ class KLL(Sketch):
                     self.levels.append(np.zeros(0, dtype=np.float64))
                 self.levels[h + 1] = np.concatenate([self.levels[h + 1], promoted])
             h += 1
-        self._compacted = True
 
     # --- queries --------------------------------------------------------------
 

@@ -113,11 +113,11 @@ def _read_parquet_clean(paths, **kwargs):
 def derive_transcripts(sf_dir: str):
     """events + documents → transcripts as a ray.data.Dataset.
 
-    Plan: read events (pruned columns) → groupby(user_id).map_groups to assign
-    the per-user row_number (one shuffle, keyed on user_id; per-user groups are
-    small and numerous so skew is benign) → map_batches broadcast-join of
-    document texts (documents is the small side: ray.put once, read per actor,
-    never re-shipped per batch).
+    Plan: read events (pruned columns) → partitioned_group_apply on user_id
+    to assign the per-user row_number (one shuffle, keyed on user_id;
+    per-user groups are small and numerous so skew is benign) → map_batches
+    broadcast-join of document texts (documents is the small side: ray.put
+    once, read per actor, never re-shipped per batch).
     """
     import ray
 
@@ -129,11 +129,13 @@ def derive_transcripts(sf_dir: str):
         columns=["event_id", "ts", "user_id", "event_type"],
     )
 
-    def per_partition(df: pd.DataFrame) -> pd.DataFrame:
+    def per_partition(t: pa.Table) -> pd.DataFrame:
         """All users of a hash partition in ONE vectorized pass (sort +
         cython groupby-cumcount) — no per-user Python; this stage was the
         dominant cost of the derivation as a per-group map_groups."""
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
+        df = t.to_pandas().sort_values(
+            ["user_id", "ts", "event_id"], kind="stable"
+        )
         rn = df.groupby("user_id", sort=False).cumcount().to_numpy(np.int64)
         uid = df["user_id"].to_numpy()
         conv = np.char.add(

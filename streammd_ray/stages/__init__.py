@@ -1,4 +1,3 @@
-from ..compat import apply_ray_patches as _apply_ray_patches
 from .dedup import (
     BloomMarkStage,
     add_key_columns,
@@ -22,7 +21,3 @@ __all__ = [
     "sketch_column",
     "tree_merge",
 ]
-
-# the Ray 2.49 containments: every engine module that plans a Ray Data
-# pipeline imports this package, and the patches act at plan time
-_apply_ray_patches()

@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,6 +49,8 @@ from ..state.shards import (  # noqa: F401 — re-exported engine surface
 
 KEY_H1 = "__key_h1"
 KEY_H2 = "__key_h2"
+#: exact dedup's null-key flag, carried beside the salted h1
+NULL_COL = "__key_null"
 #: the appended verdict column (the reference's FLAG|=1024)
 MARK_COL = "is_duplicate"
 #: first-seen order of the exact path: first = min over these per key
@@ -211,17 +212,21 @@ def dedup_exact_first(
     """Exact first-seen-wins duplicate marking, deterministic under any
     partition layout: first = min(conv_id, turn_idx) per distinct key.
 
-    ONE payload shuffle total: hash-partition the full rows by h1 and mark
-    first-occurrence per partition with a single sort + vectorized
-    ``duplicated`` over the whole partition (every row of a key meets in
-    one partition, so the partition-local decision is global). Key identity
-    is the 128-bit hash (collision probability ~2^-128 — the standard
-    content-hash dedup assumption).
+    ONE payload shuffle total: :func:`~.windows.partitioned_group_apply`
+    partitions the full rows by h1 with a fixed-boundary sort (one reducer
+    per partition), and each partition arrives as one Arrow table. There,
+    one stable ``sort_indices`` on (conv_id, turn_idx) and one numpy pass
+    over the (h1, h2) pairs mark every key's first occurrence (every row of
+    a key meets in one partition, so the partition-local decision is
+    global). Key identity is the 128-bit hash (collision probability
+    ~2^-128 — the standard content-hash dedup assumption). The output is the
+    input's columns, types unchanged, plus ``is_duplicate``.
 
-    Sizing rule: each hash partition becomes ONE in-memory frame in its
-    reducer, so ``num_partitions`` bounds per-partition memory — pass
-    ``auto_num_partitions(bytes_hint=...)`` when the payload estimate is
-    known (the default sizes to the cluster's CPUs only).
+    Sizing rule: each partition becomes ONE in-memory table in its reducer,
+    so ``num_partitions`` bounds a reducer's memory. The default sizes it
+    from the input's own in-memory size estimate (known without executing
+    the plan for a read or an in-memory dataset), else from the cluster's
+    CPUs alone.
 
     Null-key rows are salted across partitions by row identity so the null
     fraction doesn't become one giant partition; they are never marked.
@@ -229,11 +234,15 @@ def dedup_exact_first(
     if num_partitions is None:
         from ..context import auto_num_partitions
 
-        num_partitions = auto_num_partitions()
+        num_partitions = auto_num_partitions(
+            bytes_hint=ds._logical_plan.dag.infer_metadata().size_bytes
+        )
 
     def salt_nulls(batch: pa.Table) -> pa.Table:
         h1 = np.asarray(batch[KEY_H1].combine_chunks(), dtype=np.int64).view(np.uint64)
-        if (h1 == 0).any():
+        # add_key_columns writes h1 = 0 for exactly the null keys
+        null_flag = h1 == 0
+        if null_flag.any():
             salt, _ = hash_pair_batch(
                 pc.binary_join_element_wise(
                     pc.cast(batch[ORDER_COLS[0]].combine_chunks(), pa.string()),
@@ -241,31 +250,38 @@ def dedup_exact_first(
                     "\x00",
                 )
             )
-            h1 = np.where(h1 == 0, salt | np.uint64(1), h1)
-            null_flag = np.asarray(pc.is_null(canonical_key(batch, key_cols)))
-        else:
-            null_flag = np.zeros(len(h1), dtype=bool)
+            h1 = np.where(null_flag, salt | np.uint64(1), h1)
         return batch.set_column(
             batch.schema.get_field_index(KEY_H1),
             KEY_H1,
             pa.array(h1.view(np.int64), pa.int64()),
-        ).append_column("__key_null", pa.array(null_flag))
+        ).append_column(NULL_COL, pa.array(null_flag))
 
     ds = add_key_columns(ds, key_cols)
     ds = ds.map_batches(salt_nulls, batch_format="pyarrow")
 
     from .windows import partitioned_group_apply
 
-    def mark_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(list(ORDER_COLS), kind="stable")
-        nn = ~df["__key_null"].to_numpy()
-        dup = np.zeros(len(df), dtype=bool)
-        if nn.any():
-            sub = df.loc[nn, [KEY_H1, KEY_H2]]
-            dup[nn] = sub.duplicated(keep="first").to_numpy()
-        df[MARK_COL] = dup
-        return df.drop(columns=[KEY_H1, KEY_H2, "__key_null"])
-
     return partitioned_group_apply(
         ds, KEY_H1, mark_partition, num_partitions=num_partitions
+    )
+
+
+def mark_partition(t: pa.Table) -> pa.Table:
+    """``is_duplicate`` for one whole partition: a row is a duplicate iff a
+    row with the same non-null (h1, h2) key comes before it in (conv_id,
+    turn_idx) order. Rows keep their input order; the helper columns go."""
+    order = pc.sort_indices(t, sort_keys=[(c, "ascending") for c in ORDER_COLS])
+    order = np.asarray(order, dtype=np.int64)
+    order = order[~np.asarray(t[NULL_COL].combine_chunks(), dtype=bool)[order]]
+    h1 = np.asarray(t[KEY_H1].combine_chunks(), dtype=np.int64)[order]
+    h2 = np.asarray(t[KEY_H2].combine_chunks(), dtype=np.int64)[order]
+    # stable: equal keys keep their (conv_id, turn_idx) order, first one leads
+    by_key = np.lexsort((h2, h1))
+    h1, h2 = h1[by_key], h2[by_key]
+    repeat = (h1[1:] == h1[:-1]) & (h2[1:] == h2[:-1])
+    dup = np.zeros(t.num_rows, dtype=bool)
+    dup[order[by_key[1:][repeat]]] = True
+    return t.drop_columns([KEY_H1, KEY_H2, NULL_COL]).append_column(
+        MARK_COL, pa.array(dup)
     )

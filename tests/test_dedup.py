@@ -4,8 +4,10 @@ conformance (SURVEY.md §5 layers 3-4; acceptance criteria §7.4)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
+from ray.data._internal.logical.operators.all_to_all_operator import Sort
 
 from streammd_ray.pipelines import CapacityExceeded, compute_metrics, mark_duplicates
 from streammd_ray.sources import generate_transcripts
@@ -65,6 +67,54 @@ def test_exact_first_matches_truth_rowwise(ray_session, fixture_table):
     out = dedup_exact_first(rd.read_parquet(path)).to_pandas()
     got, want = _labels(out), _labels(truth)
     assert got.equals(want)
+
+
+def test_exact_first_keeps_input_schema(ray_session, fixture_table):
+    """The output is the input's columns with their Arrow types (int32
+    turn_idx, timestamp[us] ts) plus is_duplicate, and no pandas schema
+    metadata: the partitions never go through pandas."""
+    path, _ = fixture_table
+    ds = rd.read_parquet(path)
+    schema = ds.schema().base_schema
+    assert schema.field("turn_idx").type == pa.int32()
+    assert schema.field("ts").type == pa.timestamp("us")
+    blocks = [
+        b
+        for b in dedup_exact_first(ds).iter_batches(
+            batch_format="pyarrow", batch_size=None
+        )
+        if b.num_rows
+    ]
+    want = schema.append(pa.field("is_duplicate", pa.bool_()))
+    assert blocks
+    for b in blocks:
+        assert b.schema.equals(want, check_metadata=True), b.schema
+
+
+def test_exact_first_default_partitions_grow_with_input(ray_session, monkeypatch):
+    """Without num_partitions, the count comes from the input's in-memory
+    size estimate, read from the plan without executing it."""
+    from streammd_ray import context
+
+    monkeypatch.setattr(context, "TARGET_PARTITION_BYTES", 1 << 16)
+
+    def reducers(n_rows):
+        t = pa.table(
+            {
+                "conv_id": [f"c{i}" for i in range(n_rows)],
+                "turn_idx": pa.array(np.zeros(n_rows), pa.int32()),
+                "text": ["x" * 100] * n_rows,
+            }
+        )
+        op = dedup_exact_first(rd.from_arrow(t))._logical_plan.dag
+        while not isinstance(op, Sort):
+            (op,) = op.input_dependencies
+        return len(op._sort_key.boundaries) + 1, t.nbytes
+
+    n_small, _ = reducers(100)
+    n_large, bytes_large = reducers(40_000)
+    assert n_small == context.auto_num_partitions()  # the CPU-based floor
+    assert n_large == bytes_large // (1 << 16) + 1 > n_small
 
 
 def test_remove_duplicates(ray_session, fixture_table):

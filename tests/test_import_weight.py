@@ -1,8 +1,6 @@
 """Import weight: a Bloom shard process imports ``streammd_ray.state.shards``
 and must not pay for Ray Data, pandas, polars or pyarrow (59-66 ms of
-import alone; the checkpoint codec imports it on first use, in the driver);
-the Ray 2.49 containments move with the planning code to
-``streammd_ray.stages``.
+import alone; the checkpoint codec imports it on first use, in the driver).
 Each check runs in a fresh interpreter, since this test session has long
 since imported everything."""
 
@@ -42,15 +40,3 @@ def test_light_modules_skip_heavy_imports(module):
         f"print(','.join(m for m in {FORBIDDEN[module]!r} if m in sys.modules))"
     )
     assert loaded == "", f"import {module} loaded {loaded}"
-
-
-def test_stages_import_applies_ray_patches():
-    assert _run(
-        "import streammd_ray.stages\n"
-        "from ray.data._internal.execution.operators import hash_shuffle, join\n"
-        "from streammd_ray.compat import (\n"
-        "    SchemaSafeJoinAggregation, _capped_aggregator_args)\n"
-        "print(join.JoiningShuffleAggregation is SchemaSafeJoinAggregation,\n"
-        "      hash_shuffle.HashShufflingOperatorBase"
-        "._get_default_aggregator_ray_remote_args is _capped_aggregator_args)\n"
-    ) == "True True"
