@@ -63,7 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
         "the layout's honest marginal FPR",
     )
     ap.add_argument("--checkpoint-dir", default=None)
-    ap.add_argument("--wave-size", type=int, default=8)
+    ap.add_argument(
+        "--wave-size",
+        type=int,
+        default=8,
+        help="input files per checkpointed wave; a wave runs one fused task "
+        "per file, so this also sets the wave's parallelism",
+    )
     ap.add_argument("--num-cpus", type=int, default=None)
     ap.add_argument("--input-format", choices=("parquet", "jsonl", "csv"), default="parquet")
     ap.add_argument("--output-format", choices=("parquet", "jsonl", "csv"), default="parquet")

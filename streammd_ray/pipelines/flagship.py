@@ -161,7 +161,15 @@ def run_flagship(
     materialization of the marked table at any scale, and the consume-once
     contract holds because there is still exactly one execution). With
     ``remove_duplicates=True`` the part files hold only first-seen rows;
-    counters and sketches still count every turn."""
+    counters and sketches still count every turn.
+
+    The pass fuses into one task chain per read block only when the read
+    makes at most one block per file
+    (``read_parquet(files, override_num_blocks=len(files))``, as the
+    checkpointed runner and perfbench read). A default read of fewer files
+    than Ray's read parallelism splits each file through an unfused
+    ``SplitBlocks`` stage, and every split then runs its own chain: its own
+    task, shard RPCs, part file and partial rows."""
     res = mark_duplicates(
         ds,
         p=p,

@@ -21,7 +21,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.io import read_parquet_clean
 from ..sources.transcripts import (
     TRANSCRIPTS_SCHEMA,
     derive_transcripts,
@@ -48,9 +47,17 @@ def transcripts_ds(sf_dir: str, *, columns: list[str] | None = None):
     parquet cache under /tmp (tmp dir + atomic rename, never a half-written
     cache) — the derivation is deterministic, so every query over
     transcripts then starts from a column-prunable parquet read instead of
-    re-running the derivation's shuffle."""
+    re-running the derivation's shuffle.
+
+    The read is a plain ``read_parquet``: the cache is written from
+    ``TRANSCRIPTS_SCHEMA`` tables, which carry no pandas schema metadata to
+    strip, and a read with no map on top keeps its size estimate
+    (``infer_metadata().size_bytes``) for ``dedup_exact_first``'s
+    partition count."""
     import os
     import shutil
+
+    import ray.data as rd
 
     cache = _transcripts_cache_dir(sf_dir)
     marker = os.path.join(cache, "_DONE")
@@ -63,7 +70,7 @@ def transcripts_ds(sf_dir: str, *, columns: list[str] | None = None):
         os.replace(tmp, cache)
     if columns is None:
         columns = [f.name for f in TRANSCRIPTS_SCHEMA]
-    return read_parquet_clean(cache, columns=columns)
+    return rd.read_parquet(cache, columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,12 @@ def _load_manifest(ckpt_dir: str) -> dict | None:
     return manifest
 
 
-def _snapshot_shards(shards, ckpt_dir: str, tag: str) -> None:
+def _snapshot_shards(shards, stats: list[dict], ckpt_dir: str, tag: str) -> None:
     """Persist every shard's filter + running counters under
     ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file), so a resumed
-    run's shard stats and capacity check report true keys_seen/dups."""
+    run's shard stats and capacity check report true keys_seen/dups.
+    ``stats`` is each shard's ``stats()`` taken since its last insert (the
+    capacity report's), so the counters cost no second round trip."""
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
@@ -121,10 +123,7 @@ def _snapshot_shards(shards, ckpt_dir: str, tag: str) -> None:
         with open(tmp, "wb") as f:
             f.write(compress(b))
         os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
-    shard_counters = [
-        {"keys_seen": s["keys_seen"], "dups": s["dups"]}
-        for s in ray.get([s.stats.remote() for s in shards])
-    ]
+    shard_counters = [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
     _atomic_write_json(os.path.join(state_dir, "counters.json"), shard_counters)
 
 
@@ -178,8 +177,13 @@ def run_flagship_checkpointed(
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``.
 
+    A wave reads one block per file, so it runs one fused task per file
+    (read → mark → sketch tail → part file): ``wave_size`` sets the wave's
+    parallelism as well as its checkpoint granularity.
+
     Returns ``(manifest, merged_sketches)``. The marked table lands under
-    ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave.
+    ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave, one
+    part file per input file below Ray's target block size.
     """
     import ray
     import ray.data as rd
@@ -249,7 +253,11 @@ def run_flagship_checkpointed(
             shutil.rmtree(tmp_out, ignore_errors=True)
             shutil.rmtree(wave_out, ignore_errors=True)
 
-            ds = rd.read_parquet(files, columns=columns)
+            # one block per file: any larger count adds an unfused
+            # SplitBlocks stage (a task, part file and shard RPC per split)
+            ds = rd.read_parquet(
+                files, columns=columns, override_num_blocks=len(files)
+            )
             res = run_flagship(
                 ds,
                 p=p,
@@ -262,9 +270,9 @@ def run_flagship_checkpointed(
                 scope=scope,
                 remove_duplicates=remove_duplicates,
             )
-            res.mark.check_capacity(allow_overcapacity=allow_overcapacity)
+            report = res.mark.check_capacity(allow_overcapacity=allow_overcapacity)
             os.replace(tmp_out, wave_out)
-            _snapshot_shards(shards, ckpt_dir, f"wave-{i}")
+            _snapshot_shards(shards, report["shards"], ckpt_dir, f"wave-{i}")
             manifest["waves"][str(i)] = {
                 "status": "done",
                 "files": files,

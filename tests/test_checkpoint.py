@@ -173,7 +173,10 @@ def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout
     try:
         h = np.arange(1, 5_001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         ray.get([s.add.remote(h[j::2], h[j::2] >> np.uint64(7)) for j, s in enumerate(shards)])
-        _snapshot_shards(shards, str(tmp_path), "wave-0")
+        stats = ray.get([s.stats.remote() for s in shards])
+        _snapshot_shards(shards, stats, str(tmp_path), "wave-0")
+        counters = json.loads((tmp_path / "shards" / "wave-0" / "counters.json").read_text())
+        assert counters == [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
         live = [BloomFilter.from_bytes(b) for b in ray.get([s.state.remote() for s in shards])]
         for j, want in enumerate(live):
             path = tmp_path / "shards" / "wave-0" / f"shard-{j}.bloom"

@@ -3,6 +3,8 @@ oracle_sql() entry value-matches its Ray result at sf0.001 — a local replica
 of the driver's DuckDB comparison (order-insensitive, columns sorted by
 name)."""
 
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -116,3 +118,28 @@ def test_no_oracle_queries_run(ray_session, catalog, name):
     queries, _ = catalog
     df = _to_df(queries[name](SF))
     assert df is not None and len(df) >= 0
+
+
+def test_transcripts_cache_read_keeps_its_size_estimate(ray_session):
+    """The cached transcripts are read with no map on top, so the plan
+    still knows their in-memory size: ``dedup_exact_first`` sizes its
+    partitions from it instead of from the CPU count."""
+    import pyarrow.parquet as pq
+
+    from streammd_ray.pipelines.queries import _transcripts_cache_dir, transcripts_ds
+    from streammd_ray.sources.transcripts import TRANSCRIPTS_SCHEMA
+
+    ds = transcripts_ds(SF)
+    size = ds._logical_plan.dag.infer_metadata().size_bytes
+    assert size is not None and size > 0
+    # nothing to strip: the cache files carry no schema metadata
+    parts = [
+        os.path.join(_transcripts_cache_dir(SF), f)
+        for f in os.listdir(_transcripts_cache_dir(SF))
+        if f.endswith(".parquet")
+    ]
+    assert parts
+    for path in parts:
+        schema = pq.read_schema(path)
+        assert schema.metadata is None
+        assert schema.names == TRANSCRIPTS_SCHEMA.names

@@ -186,3 +186,41 @@ def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
     ):
         with pytest.raises(ValueError, match="mismatch"):
             run_flagship_checkpointed(wave_files, **{**run, **changed})
+
+
+def test_each_wave_runs_one_fused_task_per_file(ray_session, tmp_path):
+    """A wave reads one block per input file, so the read fuses into the
+    mark+sketch chain: one task, one part file per file. A default read
+    cuts a ~3.5 MiB (in memory) file into several blocks through an unfused
+    SplitBlocks stage, each block its own task and part file."""
+    files = []
+    for i in range(2):
+        n = 20_000
+        # 1,000 texts repeat within each file; none repeat across files
+        texts = [f"file {i} turn {j % (n - 1_000):06d} " + "x" * 130 for j in range(n)]
+        t = pa.table(
+            {
+                "conv_id": pa.array([f"f{i}-c{j // 8}" for j in range(n)]),
+                "turn_idx": pa.array(list(range(n)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+                "tool": pa.array(["tool-1"] * n, pa.string()),
+            }
+        )
+        assert t.nbytes > 3 * 2**20
+        path = str(tmp_path / f"in-{i}.parquet")
+        pq.write_table(t, path)
+        files.append(path)
+    manifest, _ = run_flagship_checkpointed(
+        files,
+        ckpt_dir=str(tmp_path / "ckpt"),
+        output_dir=str(tmp_path / "out"),
+        wave_size=1,
+        p=1e-9,
+        num_shards=2,
+    )
+    for w in manifest["waves"].values():
+        assert len(w["parts"]) == len(w["files"]) == 1
+    assert manifest["metrics"]["TURNS"] == 40_000
+    assert manifest["metrics"]["TURNS_MARKED_DUPLICATE"] == 2_000
+    marked = _read_marked(str(tmp_path / "out"))
+    assert len(marked) == 40_000 and int(marked["is_duplicate"].sum()) == 2_000
