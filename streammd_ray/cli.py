@@ -1,7 +1,15 @@
 """CLI job driver — re-exposes the reference's flag surface
 (/root/reference/src/streammd.cxx:34-89, studied for the contract only) on
 the Ray pipeline, launchable directly or via ``ray job submit -- python -m
-streammd_ray.cli ...``.
+streammd_ray.cli ...``: it connects to the cluster ``RAY_ADDRESS`` names
+(``ray job submit`` sets it), else starts a local Ray (also for
+``RAY_ADDRESS=local``), and shuts down only a Ray it started.
+
+A plain job is one ``run_flagship`` pass: one fused task per input file
+marks, sketches and writes a part file into a temporary directory beside
+``--output``; the part files move into ``--output`` only once the capacity
+check passes. ``--sort-output`` or a non-parquet ``--output-format`` instead
+rewrites them in one more pass, which reads finished output and never marks.
 
 Flags mapped (SURVEY.md §2.7):
   --input / --output        parquet in/out (no stdio mode)
@@ -17,7 +25,8 @@ Flags mapped (SURVEY.md §2.7):
   --strip-previous          clear pre-existing is_duplicate marks unless
                             re-marked
 New knobs: --num-shards, --checkpoint-dir (wave-resumable fused run; parquet
-in and out, arrival order, so it refuses --sort-output and --strip-previous),
+in and out, arrival order, previous marks kept, so it refuses --sort-output,
+--strip-previous, --input-format and --output-format other than parquet),
 --wave-size.
 """
 
@@ -27,7 +36,9 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +110,67 @@ def show_capacity(args) -> dict:
     }
 
 
+def _run_plain(args, paths, key_cols, scope) -> dict:
+    """One fused mark + sketch + persist pass (see the module docstring)."""
+    import ray
+
+    from .pipelines.flagship import run_flagship
+    from .sources.io import read_transcripts, write_transcripts
+    from .state.shards import make_shard_actors
+
+    ds = read_transcripts(
+        paths, fmt=args.input_format, override_num_blocks=len(paths)
+    )
+    out = os.path.abspath(args.output)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=".streammd-", dir=os.path.dirname(out))
+    shards = []
+    try:
+        # owned here, not by run_flagship, so a pass that raises frees them
+        shards = make_shard_actors(
+            args.num_shards, p=args.fp_rate, mem=args.mem, layout=args.bloom_layout
+        )
+        res = run_flagship(
+            ds,
+            p=args.fp_rate,
+            mem=args.mem,
+            shards=shards,
+            output_dir=tmp,
+            key_cols=key_cols,
+            scope=scope,
+            strip_previous=args.strip_previous,
+            remove_duplicates=args.remove_duplicates,
+        )
+        report = res.mark.check_capacity(allow_overcapacity=args.allow_overcapacity)
+        if report["overcapacity_shards"]:
+            print(
+                f"WARNING: {report['overcapacity_shards']}/{len(report['shards'])} "
+                f"Bloom shards over capacity; max marginal FPR "
+                f"{report['max_marginal_fpr']:.3g} exceeds target {args.fp_rate} "
+                "(--allow-overcapacity given, continuing)",
+                file=sys.stderr,
+            )
+        parts = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
+        if args.sort_output or args.output_format != "parquet":
+            import ray.data as rd
+
+            write_transcripts(
+                rd.read_parquet(parts, override_num_blocks=len(parts)),
+                out,
+                fmt=args.output_format,
+                sort=args.sort_output,
+            )
+        else:
+            os.makedirs(out, exist_ok=True)
+            for part in parts:
+                os.replace(part, os.path.join(out, os.path.basename(part)))
+        return res.metrics()
+    finally:
+        for s in shards:
+            ray.kill(s)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -132,12 +204,16 @@ def main(argv=None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    address = os.environ.get("RAY_ADDRESS") or "local"
+    if started and address != "local":
+        # Ray refuses num_cpus for an existing cluster
+        ray.init(address=address, logging_level="ERROR")
+    elif started:
         ray.init(
             address="local",
             num_cpus=args.num_cpus,
             include_dashboard=False,
-            ignore_reinit_error=True,
             logging_level="ERROR",
         )
     try:
@@ -170,45 +246,15 @@ def main(argv=None) -> int:
             )
             metrics = manifest["metrics"]
         else:
-            from .pipelines.mark_duplicates import compute_metrics, mark_duplicates
-            from .sources.io import read_transcripts, write_transcripts
-
-            ds = read_transcripts(paths, fmt=args.input_format)
-            res = mark_duplicates(
-                ds,
-                key_cols=key_cols,
-                scope=scope,
-                p=args.fp_rate,
-                mem=args.mem,
-                num_shards=args.num_shards,
-                remove_duplicates=args.remove_duplicates,
-                strip_previous=args.strip_previous,
-                materialize=True,
-                bloom_layout=args.bloom_layout,
-            )
-            # capacity check FIRST (marking already ran via materialize=True):
-            # a CapacityExceeded aborts before any output is written; with
-            # --allow-overcapacity the report goes to stderr as a warning
-            report = res.check_capacity(allow_overcapacity=args.allow_overcapacity)
-            if report["overcapacity_shards"]:
-                print(
-                    f"WARNING: {report['overcapacity_shards']}/{len(report['shards'])} "
-                    f"Bloom shards over capacity; max marginal FPR "
-                    f"{report['max_marginal_fpr']:.3g} exceeds target {args.fp_rate} "
-                    "(--allow-overcapacity given, continuing)",
-                    file=sys.stderr,
-                )
-            write_transcripts(
-                res.dataset, args.output, fmt=args.output_format, sort=args.sort_output
-            )
-            metrics = compute_metrics(res.marked, exact_conversations=False)
+            metrics = _run_plain(args, paths, key_cols, scope)
 
         with open(args.metrics, "w") as f:
             json.dump(metrics, f, indent=2)
         print(json.dumps(metrics))
         return 0
     finally:
-        ray.shutdown()
+        if started:
+            ray.shutdown()
 
 
 if __name__ == "__main__":

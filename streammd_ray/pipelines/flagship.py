@@ -13,6 +13,7 @@ passes ``output_dir=...`` to also persist the marked table in the same pass.
 from __future__ import annotations
 
 import pickle
+import struct
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,6 +32,9 @@ from ..stages.sketch_agg import (
 from ..state.checkpoint import DISK_COMPRESSION
 from .mark_duplicates import MarkResult, mark_duplicates, metrics_json
 
+#: the ``__counts`` partial: (turns, dups, nulls) of one block
+_COUNTS = struct.Struct("<3q")
+
 
 def default_sketch_specs() -> dict[str, tuple[str, Sketch]]:
     """The north_star's five-sketch set (Bloom lives in the shard actors):
@@ -46,7 +50,8 @@ def default_sketch_specs() -> dict[str, tuple[str, Sketch]]:
 class SketchTail:
     """Per-batch tail stage: derive turn length (``__len``), insert the batch
     into fresh sketch partials (``stages.sketch_agg.sketch_partials``), emit
-    one (sketch, state) row per sketch plus a ``__counts`` row. Partials are
+    one (sketch, state) row per sketch plus a ``__counts`` row (turns, dups,
+    nulls as three little-endian int64, ``_COUNTS``). Partials are
     small (compressed t-digest, modest CMS) and tree-merge in
     O(log n_batches).
 
@@ -103,7 +108,7 @@ class SketchTail:
         states = sketch_partials(batch.append_column("__len", lens), self.protos)
         n_dups = int(pc.sum(pc.cast(batch[MARK_COL], "int64")).as_py() or 0)
         n_null = batch["text"].null_count
-        states["__counts"] = pickle.dumps((len(batch), n_dups, n_null))
+        states["__counts"] = _COUNTS.pack(len(batch), n_dups, n_null)
         return partials_table(states)
 
 
@@ -152,6 +157,7 @@ def run_flagship(
     num_shards: int = 8,
     batch_size: int | None = None,
     output_dir: str | None = None,
+    remove_duplicates: bool = False,
     seal: bool = True,
     **mark_kwargs: Any,
 ) -> FlagshipResult:
@@ -183,7 +189,7 @@ def run_flagship(
     # preceding task-based 'finish' stage into one operator, so the marked
     # blocks never make an extra object-store hop through a separate actor
     # pool (measured ~20% of the fused pass at 32 CPUs)
-    tail_cls = _FirstSeenSinkTail if res.config["remove_duplicates"] else SketchTail
+    tail_cls = _FirstSeenSinkTail if remove_duplicates else SketchTail
     tail = tail_cls(packed, output_dir=output_dir)
     # batch_size=None → one partial per BLOCK: with 64 fat input blocks that
     # is 64 partials (~170 KB each) to tree-merge on the driver instead of
@@ -217,7 +223,7 @@ def run_flagship(
             print(partials.stats(), file=_sys.stderr)
         except Exception:
             pass
-    counts = [pickle.loads(s) for s in by_name.pop("__counts")]
+    counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts")]
     counters = {
         "turns": sum(c[0] for c in counts),
         "dups": sum(c[1] for c in counts),
@@ -242,6 +248,5 @@ def run_flagship(
         "fused pass; read the written part files (output_dir=...) if you "
         "need the marked table afterwards"
     )
-    res.dataset = guard
     res.marked = guard
     return FlagshipResult(counters=counters, sketches=sketches, mark=res)

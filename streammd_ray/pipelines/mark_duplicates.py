@@ -3,7 +3,10 @@ shape (SURVEY.md §3.4).
 
     read → add_key_columns (stateless map_batches, Arrow zero-copy)
          → BloomMarkStage (stateful; P shard actors own the partitioned filter)
-         → [strip/remove handling] → marked Dataset (+ metrics, capacity guard)
+         → [strip handling] → marked Dataset (+ metrics, capacity guard)
+
+``pipelines.flagship.run_flagship`` consumes the marked Dataset in its one
+fused pass; its first-seen sink is the one ``remove_duplicates`` path.
 
 Differences from the reference, by design (documented, SURVEY.md §4.2):
  - FLAG|=1024 in-place becomes an appended ``is_duplicate: bool`` column;
@@ -27,6 +30,7 @@ from ..stages.dedup import (
     KEY_H1,
     KEY_H2,
     MARK_COL,
+    PREV_MARK_COL,
     add_key_columns,
     make_mark_fn,
 )
@@ -40,8 +44,7 @@ class CapacityExceeded(RuntimeError):
 
 @dataclass
 class MarkResult:
-    dataset: Any  # the output Dataset (filtered if remove_duplicates)
-    marked: Any  # the marked Dataset incl. is_duplicate (pre-filter)
+    marked: Any  # the marked Dataset incl. is_duplicate
     shards: list  # the shard actor handles (live until released)
     config: dict = field(default_factory=dict)
 
@@ -90,7 +93,6 @@ def mark_duplicates(
     total_capacity: int | None = None,
     num_shards: int = 8,
     batch_size: int | None = None,
-    remove_duplicates: bool = False,
     strip_previous: bool = False,
     shards: list | None = None,
     materialize: bool = False,
@@ -108,26 +110,16 @@ def mark_duplicates(
     the marked dataset must execute exactly once — Ray re-executes a lazy
     Dataset on every consumption, and a second pass would re-insert every
     key and mark everything duplicate. Either (a) consume ``result.marked``
-    / ``result.dataset`` with a single ``write_parquet`` / ``iter_batches``
-    / aggregation, or (b) pass ``materialize=True`` to pin the marked blocks
-    (bounded by input size — right for wave/validation scale) and consume
-    freely afterwards.
+    with a single ``write_parquet`` / ``iter_batches`` / aggregation (as
+    ``run_flagship`` does), or (b) pass ``materialize=True`` to pin the
+    marked blocks (bounded by input size — right for wave/validation scale)
+    and consume freely afterwards.
     """
     if scope == "conversation":
         if "conv_id" not in key_cols:
             key_cols = (*key_cols, "conv_id")
     elif scope != "global":
         raise ValueError(f"unknown scope: {scope}")
-
-    had_mark = MARK_COL in ds.schema().names
-    if had_mark:
-        ds = ds.map_batches(
-            lambda t: t.rename_columns(
-                [c if c != MARK_COL else "__prev_mark" for c in t.column_names]
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
 
     import ray
 
@@ -160,13 +152,13 @@ def mark_duplicates(
 
     def finish(t: pa.Table) -> pa.Table:
         new = t[MARK_COL].combine_chunks()
-        if had_mark:
-            prev = t["__prev_mark"].combine_chunks()
+        if PREV_MARK_COL in t.column_names:
+            prev = t[PREV_MARK_COL].combine_chunks()
             if not strip_previous:
                 # default: previously-marked rows stay marked
                 new = pc.or_kleene(pc.fill_null(prev, False), new)
             # strip_previous: prior marks cleared unless re-marked now
-            t = t.drop_columns(["__prev_mark"])
+            t = t.drop_columns([PREV_MARK_COL])
         i = t.schema.get_field_index(MARK_COL)
         return t.set_column(i, MARK_COL, new).drop_columns([KEY_H1, KEY_H2])
 
@@ -178,16 +170,7 @@ def mark_duplicates(
         # silently re-inserting every key (consume-once contract, enforced)
         ray.get([s.seal.remote() for s in shards])
 
-    out = marked
-    if remove_duplicates:
-        out = marked.map_batches(
-            lambda t: t.filter(pc.invert(t[MARK_COL].combine_chunks())),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
     return MarkResult(
-        dataset=out,
         marked=marked,
         shards=shards,
         config={
@@ -197,7 +180,6 @@ def mark_duplicates(
             "mem": mem,
             "total_capacity": total_capacity,
             "num_shards": len(shards),
-            "remove_duplicates": remove_duplicates,
             "strip_previous": strip_previous,
         },
     )
@@ -216,17 +198,19 @@ def metrics_json(turns: int, nulls: int, dups: int, conversations: int) -> dict:
     }
 
 
-def compute_metrics(marked, *, exact_conversations: bool = True) -> dict:
-    """:func:`metrics_json` of a marked dataset.
+def compute_metrics(marked) -> dict:
+    """:func:`metrics_json` of a marked dataset, CONVERSATIONS exact.
 
-    One aggregation pass for the counters; CONVERSATIONS is exact (a distinct
-    shuffle — fine at validation scale) or an HLL estimate (the 10^12-turn
-    path) when ``exact_conversations=False``.
+    One aggregation pass for the counters and a distinct count of conv_id
+    (a groupby — fine at validation scale; the flagship's ridden HLL is the
+    large-scale path).
 
     ``marked`` must be a MATERIALIZED (or written-and-reread) marked dataset
     — this function consumes it twice, and a lazy bloom-marking plan must
     never execute twice (see mark_duplicates' consume-once contract).
     """
+    from ray.data.aggregate import Count
+
     from ..stages.sketch_agg import global_counts
 
     agg = global_counts(
@@ -241,22 +225,12 @@ def compute_metrics(marked, *, exact_conversations: bool = True) -> dict:
             ),
         },
     )
-
-    if exact_conversations:
-        from ray.data.aggregate import Count
-
-        n_convs = (
-            marked.select_columns(["conv_id"])
-            .groupby("conv_id")
-            .aggregate(Count(alias_name="n"))
-            .count()
-        )
-    else:
-        from ..sketches.hll import HyperLogLog
-        from ..stages.sketch_agg import sketch_column
-
-        n_convs = round(sketch_column(marked, "conv_id", HyperLogLog()).estimate())
-
+    n_convs = (
+        marked.select_columns(["conv_id"])
+        .groupby("conv_id")
+        .aggregate(Count(alias_name="n"))
+        .count()
+    )
     return metrics_json(
         int(agg["turns"]), int(agg["nulls"]), int(agg["dups"]), n_convs
     )

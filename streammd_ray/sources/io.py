@@ -5,7 +5,8 @@ can be written back in any of the three.
 
 Coercion rules: every input is cast to TRANSCRIPTS_SCHEMA — turn_idx to
 int32, ts parsed from ISO strings (JSONL/CSV carry timestamps as text),
-missing ``tool`` column materialized as nulls.
+missing ``tool`` column materialized as nulls. An ``is_duplicate`` column
+(an earlier run's marks) is kept as bool, so ``strip_previous`` can act on it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.dedup import MARK_COL
 from .transcripts import TRANSCRIPTS_SCHEMA
 
 FORMATS = ("parquet", "jsonl", "csv")
@@ -54,7 +56,11 @@ def _coerce(batch: pa.Table) -> pa.Table:
             out[field.name] = col
         else:
             out[field.name] = pa.nulls(len(batch), field.type)
-    return pa.Table.from_arrays(list(out.values()), schema=TRANSCRIPTS_SCHEMA)
+    schema = TRANSCRIPTS_SCHEMA
+    if MARK_COL in batch.column_names:
+        out[MARK_COL] = pc.cast(batch[MARK_COL], pa.bool_())
+        schema = schema.append(pa.field(MARK_COL, pa.bool_()))
+    return pa.Table.from_arrays(list(out.values()), schema=schema)
 
 
 def read_transcripts(paths, *, fmt: str = "parquet", **read_kwargs):

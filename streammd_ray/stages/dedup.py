@@ -53,6 +53,8 @@ KEY_H2 = "__key_h2"
 NULL_COL = "__key_null"
 #: the appended verdict column (the reference's FLAG|=1024)
 MARK_COL = "is_duplicate"
+#: an input's own ``MARK_COL`` while the mark stage appends a fresh one
+PREV_MARK_COL = "__prev_mark"
 #: first-seen order of the exact path: first = min over these per key
 ORDER_COLS = ("conv_id", "turn_idx")
 
@@ -186,13 +188,19 @@ def make_mark_fn(shards):
     task chain — no actor pool to spawn, no extra object-store hop). The
     closure is deserialized once per worker process and the stage instance
     (with its per-task ordinal bookkeeping) persists there, so a retried
-    task replays its batches from the shard cache."""
+    task replays its batches from the shard cache. A batch that already
+    carries ``MARK_COL`` keeps it as ``PREV_MARK_COL``, decided per batch,
+    so no schema probe has to run the plan first."""
     holder: dict = {}
 
     def mark_fn(batch: pa.Table) -> pa.Table:
         stage = holder.get("stage")
         if stage is None:
             stage = holder["stage"] = BloomMarkStage(shards)
+        if MARK_COL in batch.column_names:
+            batch = batch.rename_columns(
+                [PREV_MARK_COL if c == MARK_COL else c for c in batch.column_names]
+            )
         return stage(batch)
 
     return mark_fn

@@ -168,7 +168,7 @@ def run_flagship_checkpointed(
     continues.
 
     ``key_cols``/``scope``/``remove_duplicates`` mean what they mean for
-    ``mark_duplicates``; with ``remove_duplicates`` the part files hold only
+    ``run_flagship``; with ``remove_duplicates`` the part files hold only
     first-seen rows while counters and sketches still count every turn.
     ``bloom_layout`` selects the shards' probe geometry: ``None`` (classic)
     or ``"split"``. These four options, like the sizing, are pinned in the

@@ -85,13 +85,10 @@ def test_capacity_guard_blocks_wave_commit(ray_session, data, tmp_path):
     assert sorted(manifest["waves"]) == ["0", "1"]
 
 
-def test_cli_checkpoint_dir(ray_session, data, tmp_path, monkeypatch):
+def test_cli_checkpoint_dir(ray_session, data, tmp_path):
     """``cli.main --checkpoint-dir`` in-process: metrics JSON equals the
     generated truth, --remove-duplicates persists only first-seen rows, and
     --key-cols reaches the runner's config fingerprint."""
-    import ray
-
-    monkeypatch.setattr(ray, "shutdown", lambda *a, **k: None)  # keep the session
     paths, truth = data
     out, metrics_path = str(tmp_path / "out"), str(tmp_path / "metrics.json")
     argv = [

@@ -5,11 +5,17 @@ conformance (SURVEY.md §5 layers 3-4; acceptance criteria §7.4)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 from ray.data._internal.logical.operators.all_to_all_operator import Sort
 
-from streammd_ray.pipelines import CapacityExceeded, compute_metrics, mark_duplicates
+from streammd_ray.pipelines import (
+    CapacityExceeded,
+    compute_metrics,
+    mark_duplicates,
+    run_flagship,
+)
 from streammd_ray.sources import generate_transcripts
 from streammd_ray.stages import dedup_exact_first
 
@@ -117,13 +123,18 @@ def test_exact_first_default_partitions_grow_with_input(ray_session, monkeypatch
     assert n_large == bytes_large // (1 << 16) + 1 > n_small
 
 
-def test_remove_duplicates(ray_session, fixture_table):
+def test_remove_duplicates(ray_session, fixture_table, tmp_path):
     path, truth = fixture_table
-    res = mark_duplicates(
-        rd.read_parquet(path), p=1e-9, num_shards=4, remove_duplicates=True
+    out = str(tmp_path / "out")
+    res = run_flagship(
+        rd.read_parquet(path),
+        p=1e-9,
+        num_shards=4,
+        output_dir=out,
+        remove_duplicates=True,
     )
-    kept = res.dataset.to_pandas()
-    res.release()
+    res.mark.release()
+    kept = pq.ParquetDataset(out).read().to_pandas()
     n_nonnull_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
     n_null = int(truth["text"].isna().sum())
     assert len(kept) == n_nonnull_distinct + n_null

@@ -13,7 +13,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from streammd_ray.pipelines import compute_metrics, mark_duplicates
+from streammd_ray.pipelines import compute_metrics, mark_duplicates, run_flagship
 from streammd_ray.stages import dedup_exact_first
 
 
@@ -136,10 +136,13 @@ def test_scope_divergence_conversation_vs_global(ray_session):
 
 @pytest.mark.parametrize("strip", [False, True])
 @pytest.mark.parametrize("remove", [False, True])
-def test_strip_previous_remove_matrix(ray_session, strip, remove):
+def test_strip_previous_remove_matrix(ray_session, tmp_path, strip, remove):
     """strip_previous × remove_duplicates over an input that already carries
     an is_duplicate column: default keeps prior marks (OR), strip clears
-    them unless re-marked now; remove drops whatever ends up marked."""
+    them unless re-marked now; remove drops whatever ends up marked from
+    the part files."""
+    import pyarrow.parquet as pq
+
     df = _case(
         [
             ("c1", 0, "a", False),  # previously marked TRUE (stale mark)
@@ -148,21 +151,25 @@ def test_strip_previous_remove_matrix(ray_session, strip, remove):
         ]
     )
     df["is_duplicate"] = [True, False, False]
-    res = mark_duplicates(
+    out_dir = str(tmp_path / "out")
+    res = run_flagship(
         _ds_with_mark(df),
         p=1e-9,
         num_shards=2,
+        output_dir=out_dir,
         strip_previous=strip,
         remove_duplicates=remove,
-        materialize=True,
     )
-    marked = res.marked.to_pandas().set_index(["conv_id", "turn_idx"])
+    res.mark.release()
     # row (c1,0): stale prior mark survives unless strip_previous
-    assert marked.loc[("c1", 0), "is_duplicate"] == (not strip)
-    assert marked.loc[("c1", 1), "is_duplicate"] == False  # noqa: E712
-    assert marked.loc[("c1", 2), "is_duplicate"] == True  # noqa: E712
-    out = res.dataset.to_pandas()
-    res.release()
+    want = {("c1", 0): not strip, ("c1", 1): False, ("c1", 2): True}
+    assert res.counters["dups"] == sum(want.values())
+    out = pq.ParquetDataset(out_dir).read().to_pandas()
+    got = dict(zip(zip(out["conv_id"], out["turn_idx"]), out["is_duplicate"]))
+    if remove:
+        assert got == {k: False for k, dup in want.items() if not dup}
+    else:
+        assert got == want
     want_rows = 3 - (1 + (0 if strip else 1)) if remove else 3
     assert len(out) == want_rows
 
