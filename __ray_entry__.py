@@ -18,18 +18,26 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: derive the transcripts
-    table from events+documents, mark duplicate turns via the sharded
-    partitioned Bloom filter, and return the marked Dataset
-    (conv_id, turn_idx, role, text, tool, ts, is_duplicate). The marked
-    Dataset is materialized, so the shard actors are killed before it is
-    returned."""
-    from streammd_ray.pipelines.mark_duplicates import mark_duplicates
+    table from events+documents, mark duplicate turns in one
+    ``run_flagship`` pass through the sharded partitioned Bloom filter, and
+    return the marked table it wrote (conv_id, turn_idx, role, text, tool,
+    ts, is_duplicate) as a materialized Dataset read back from its part
+    files. The pass kills the shard actors it spawned before it returns."""
+    import shutil
+    import tempfile
+
+    import ray.data as rd
+
+    from streammd_ray.pipelines.flagship import run_flagship
     from streammd_ray.sources.transcripts import derive_transcripts
 
-    ds = derive_transcripts("/root/testdata/sf0.001")
-    res = mark_duplicates(ds, p=1e-9, num_shards=4, materialize=True)
-    res.release()
-    return res.marked
+    out = tempfile.mkdtemp(prefix="streammd-entry-")
+    try:
+        ds = derive_transcripts("/root/testdata/sf0.001")
+        run_flagship(ds, p=1e-9, mem=None, num_shards=4, output_dir=out)
+        return rd.read_parquet(out).materialize()
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

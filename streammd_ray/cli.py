@@ -112,11 +112,8 @@ def show_capacity(args) -> dict:
 
 def _run_plain(args, paths, key_cols, scope) -> dict:
     """One fused mark + sketch + persist pass (see the module docstring)."""
-    import ray
-
     from .pipelines.flagship import run_flagship
     from .sources.io import read_transcripts, write_transcripts
-    from .state.shards import make_shard_actors
 
     ds = read_transcripts(
         paths, fmt=args.input_format, override_num_blocks=len(paths)
@@ -124,24 +121,20 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
     out = os.path.abspath(args.output)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".streammd-", dir=os.path.dirname(out))
-    shards = []
     try:
-        # owned here, not by run_flagship, so a pass that raises frees them
-        shards = make_shard_actors(
-            args.num_shards, p=args.fp_rate, mem=args.mem, layout=args.bloom_layout
-        )
         res = run_flagship(
             ds,
             p=args.fp_rate,
             mem=args.mem,
-            shards=shards,
+            num_shards=args.num_shards,
+            bloom_layout=args.bloom_layout,
             output_dir=tmp,
             key_cols=key_cols,
             scope=scope,
             strip_previous=args.strip_previous,
             remove_duplicates=args.remove_duplicates,
         )
-        report = res.mark.check_capacity(allow_overcapacity=args.allow_overcapacity)
+        report = res.check_capacity(allow_overcapacity=args.allow_overcapacity)
         if report["overcapacity_shards"]:
             print(
                 f"WARNING: {report['overcapacity_shards']}/{len(report['shards'])} "
@@ -166,8 +159,6 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
                 os.replace(part, os.path.join(out, os.path.basename(part)))
         return res.metrics()
     finally:
-        for s in shards:
-            ray.kill(s)
         shutil.rmtree(tmp, ignore_errors=True)
 
 

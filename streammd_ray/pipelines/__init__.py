@@ -1,16 +1,13 @@
-from .flagship import FlagshipResult, SketchTail, default_sketch_specs, run_flagship
-from .mark_duplicates import (
+from .flagship import (
     CapacityExceeded,
-    MarkResult,
-    compute_metrics,
-    mark_duplicates,
+    FlagshipResult,
+    SketchTail,
+    default_sketch_specs,
+    run_flagship,
 )
 
 __all__ = [
     "CapacityExceeded",
-    "MarkResult",
-    "compute_metrics",
-    "mark_duplicates",
     "FlagshipResult",
     "SketchTail",
     "default_sketch_specs",

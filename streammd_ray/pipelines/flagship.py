@@ -1,13 +1,24 @@
-"""The fused flagship pipeline — the BASELINE.json metric pipeline as a
-reusable library function: ONE streaming pass that bloom-marks duplicates
-AND accumulates the four estimate sketches AND the run counters.
+"""The fused flagship pipeline — the engine's one Bloom pass: ONE streaming
+pass that bloom-marks duplicates AND accumulates the four estimate sketches
+AND the run counters (streammd's semantics, Ray-Data shape, SURVEY.md §3.4).
 
-    read → add_key_columns → BloomMarkStage (shard actors)
-         → SketchTail (per-batch sketch partials + counters)
+    read → add_key_columns → BloomMarkStage (shard actors) → finish
+         → SketchTail (per-block sketch partials + counters [+ part file])
          → driver tree-merge
 
-``perfbench`` and the checkpointed runner call this; a production job
-passes ``output_dir=...`` to also persist the marked table in the same pass.
+The CLI, the checkpointed runner, the catalog's Bloom row and ``perfbench``
+call :func:`run_flagship`; ``output_dir=...`` persists the marked table in
+the same pass. No marked Dataset leaves the pass: its one plan is consumed
+once, by the partials' ``take_all``, so the shards never see a second run.
+
+Differences from the reference, by design (documented, SURVEY.md §4.2):
+ - FLAG|=1024 in-place becomes an appended ``is_duplicate: bool`` column;
+ - first-seen-wins is arrival-order within the Ray stream: exactly one row
+   per distinct key survives, deterministic in *count*, nondeterministic in
+   *identity* — use stages.dedup.dedup_exact_first when identity must be
+   reproducible;
+ - the overcapacity check (reference src/streammd.cxx:142-160) runs per shard
+   and on the aggregate.
 """
 
 from __future__ import annotations
@@ -15,14 +26,20 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sketches import KLL, CountMinSketch, HyperLogLog, TDigest
 from ..sketches.base import Sketch
-from ..stages.dedup import MARK_COL
+from ..stages.dedup import (
+    KEY_H1,
+    KEY_H2,
+    MARK_COL,
+    PREV_MARK_COL,
+    add_key_columns,
+    make_mark_fn,
+)
 from ..stages.sketch_agg import (
     gather_partials,
     partials_table,
@@ -30,7 +47,26 @@ from ..stages.sketch_agg import (
     tree_merge,
 )
 from ..state.checkpoint import DISK_COMPRESSION
-from .mark_duplicates import MarkResult, mark_duplicates, metrics_json
+from ..state.shards import make_shard_actors
+
+
+class CapacityExceeded(RuntimeError):
+    """Raised when items added exceed filter capacity and overcapacity is not
+    allowed (mirrors the reference's hard error, src/streammd.cxx:147-160)."""
+
+
+def metrics_json(turns: int, nulls: int, dups: int, conversations: int) -> dict:
+    """The reference's five-field metrics JSON (src/markdups.cxx:202-234;
+    field mapping in FIXTURES.md F4)."""
+    denom = turns - nulls
+    return {
+        "TURNS": turns,
+        "TURNS_NULL_TEXT": nulls,
+        "TURNS_MARKED_DUPLICATE": dups,
+        "CONVERSATIONS": conversations,
+        "TURN_DUPLICATE_FRACTION": round(dups / denom, 4) if denom else 0.0,
+    }
+
 
 #: the ``__counts`` partial: (turns, dups, nulls) of one block
 _COUNTS = struct.Struct("<3q")
@@ -122,22 +158,13 @@ class _FirstSeenSinkTail(SketchTail):
         )
 
 
-class _ConsumedDataset:
-    """Guard standing in for a lazy marked Dataset that has already been
-    consumed (consume-once contract): any attribute access raises."""
-
-    def __init__(self, why: str):
-        object.__setattr__(self, "_why", why)
-
-    def __getattr__(self, name):
-        raise RuntimeError(object.__getattribute__(self, "_why"))
-
-
 @dataclass
 class FlagshipResult:
     counters: dict
     sketches: dict[str, Sketch]
-    mark: MarkResult
+    #: each shard's ``stats()``, read once after the pass
+    shard_stats: list[dict]
+    config: dict
 
     def metrics(self) -> dict:
         """The reference's metrics JSON, CONVERSATIONS via the ridden HLL."""
@@ -147,6 +174,27 @@ class FlagshipResult:
             self.counters["dups"],
             round(self.sketches["convs_hll"].estimate()),
         )
+
+    def check_capacity(self, allow_overcapacity: bool = False) -> dict:
+        """Capacity / marginal-FPR report of the pass; raises
+        :class:`CapacityExceeded` unless allowed."""
+        stats = self.shard_stats
+        report = {
+            "shards": stats,
+            "n_added": sum(s["n_added"] for s in stats),
+            "capacity": sum(s["capacity"] for s in stats),
+            "max_marginal_fpr": max(s["marginal_fpr"] for s in stats),
+            "target_p": self.config["p"],
+        }
+        over = [s for s in stats if s["n_added"] > s["capacity"]]
+        report["overcapacity_shards"] = len(over)
+        if over and not allow_overcapacity:
+            raise CapacityExceeded(
+                f"{len(over)}/{len(stats)} Bloom shards over capacity "
+                f"(max marginal FPR {report['max_marginal_fpr']:.3g} > target "
+                f"{self.config['p']}); pass allow_overcapacity=True to proceed"
+            )
+        return report
 
 
 def run_flagship(
@@ -158,16 +206,32 @@ def run_flagship(
     batch_size: int | None = None,
     output_dir: str | None = None,
     remove_duplicates: bool = False,
-    seal: bool = True,
-    **mark_kwargs: Any,
+    shards: list | None = None,
+    key_cols: tuple[str, ...] = ("text",),
+    scope: str = "global",
+    total_capacity: int | None = None,
+    strip_previous: bool = False,
+    bloom_layout: str | None = None,
 ) -> FlagshipResult:
     """One streaming pass: mark + sketches + counters (+ optional parquet
     persistence of the marked table, done INSIDE the same pass: the tail
     writes each block to its own part file before sketching — no
-    materialization of the marked table at any scale, and the consume-once
-    contract holds because there is still exactly one execution). With
+    materialization of the marked table at any scale). With
     ``remove_duplicates=True`` the part files hold only first-seen rows;
     counters and sketches still count every turn.
+
+    scope='global' dedups on the content key alone (cross-conversation);
+    scope='conversation' appends conv_id to ``key_cols`` — the analog of the
+    reference's per-template grouping. An input that already carries
+    ``is_duplicate`` keeps its marks (OR-ed with the new ones) unless
+    ``strip_previous``, which clears those not re-marked now.
+
+    Shards: with ``shards=None`` the pass spawns ``num_shards`` of them
+    (sized by ``mem``, else ``total_capacity``, with ``bloom_layout``) and
+    kills them when it returns or raises. Shards a caller passes (the wave
+    runner, perfbench) keep their state and stay alive; their layout was
+    fixed at spawn, so ``bloom_layout`` is then ignored. Either way
+    ``shard_stats`` holds their stats after the pass.
 
     The pass fuses into one task chain per read block only when the read
     makes at most one block per file
@@ -176,77 +240,111 @@ def run_flagship(
     than Ray's read parallelism splits each file through an unfused
     ``SplitBlocks`` stage, and every split then runs its own chain: its own
     task, shard RPCs, part file and partial rows."""
-    res = mark_duplicates(
-        ds,
-        p=p,
-        mem=mem,
-        num_shards=num_shards,
-        batch_size=batch_size,
-        **mark_kwargs,
-    )
-    packed = pickle.dumps(default_sketch_specs())
-    # tail as a plain FUNCTION (stateless tasks): Ray fuses it with the
-    # preceding task-based 'finish' stage into one operator, so the marked
-    # blocks never make an extra object-store hop through a separate actor
-    # pool (measured ~20% of the fused pass at 32 CPUs)
-    tail_cls = _FirstSeenSinkTail if remove_duplicates else SketchTail
-    tail = tail_cls(packed, output_dir=output_dir)
-    # batch_size=None → one partial per BLOCK: with 64 fat input blocks that
-    # is 64 partials (~170 KB each) to tree-merge on the driver instead of
-    # hundreds — the driver-side merge stays O(blocks), not O(rows/batch)
-    partials = res.marked.map_batches(
-        tail,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=None,
-    )
-    import os as _os
-    import sys as _sys
-    import time as _time
+    import os
+    import sys
+    import time
 
-    _trace = bool(_os.environ.get("STREAMMD_TRACE"))
-    _t0 = _time.monotonic()
-
-    def _mark_phase(name: str) -> None:
-        nonlocal _t0
-        if _trace:
-            now = _time.monotonic()
-            print(f"[trace] flagship {name}: {now - _t0:.2f}s", file=_sys.stderr)
-            _t0 = now
-
-    by_name = gather_partials(partials)
-    _mark_phase("plan+execute+take_all")
-    if _trace:
-        # per-operator wall/cpu breakdown of the fused pass — the scaling
-        # diagnosis tool (which stage stops scaling with cores)
-        try:
-            print(partials.stats(), file=_sys.stderr)
-        except Exception:
-            pass
-    counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts")]
-    counters = {
-        "turns": sum(c[0] for c in counts),
-        "dups": sum(c[1] for c in counts),
-        "nulls": sum(c[2] for c in counts),
-    }
-    sketches = {n: tree_merge(sts) for n, sts in by_name.items()}
-    _mark_phase("tree_merge")
-    # the lazy marked plan was consumed exactly once by the partials pass
-    # above (which also persisted the part files when output_dir was set);
-    # seal the shard actors and replace the lazy handles with guards so any
-    # later consumption fails loudly instead of re-executing the marking
-    # pass against populated shards
     import ray
 
-    if seal:
-        ray.get([s.seal.remote() for s in res.shards])
-        _mark_phase("seal")
-    # seal=False: the caller owns long-lived shards spanning several fused
-    # passes (the checkpointed wave runner) and seals after the LAST wave
-    guard = _ConsumedDataset(
-        "run_flagship already consumed the marked dataset in its single "
-        "fused pass; read the written part files (output_dir=...) if you "
-        "need the marked table afterwards"
+    if scope == "conversation":
+        if "conv_id" not in key_cols:
+            key_cols = (*key_cols, "conv_id")
+    elif scope != "global":
+        raise ValueError(f"unknown scope: {scope}")
+
+    owned = shards is None
+    if owned:
+        shards = make_shard_actors(
+            num_shards,
+            p=p,
+            total_capacity=total_capacity,
+            mem=mem,
+            layout=bloom_layout,
+        )
+    packed = pickle.dumps(default_sketch_specs())
+    tail_cls = _FirstSeenSinkTail if remove_duplicates else SketchTail
+    trace = bool(os.environ.get("STREAMMD_TRACE"))
+    t0 = time.monotonic()
+
+    def mark_phase(name: str) -> None:
+        nonlocal t0
+        if trace:
+            now = time.monotonic()
+            print(f"[trace] flagship {name}: {now - t0:.2f}s", file=sys.stderr)
+            t0 = now
+
+    def finish(t: pa.Table) -> pa.Table:
+        new = t[MARK_COL].combine_chunks()
+        if PREV_MARK_COL in t.column_names:
+            prev = t[PREV_MARK_COL].combine_chunks()
+            if not strip_previous:
+                # default: previously-marked rows stay marked
+                new = pc.or_kleene(pc.fill_null(prev, False), new)
+            # strip_previous: prior marks cleared unless re-marked now
+            t = t.drop_columns([PREV_MARK_COL])
+        i = t.schema.get_field_index(MARK_COL)
+        return t.set_column(i, MARK_COL, new).drop_columns([KEY_H1, KEY_H2])
+
+    # killed on every exit: map workers keep the mark closure's shard
+    # handles alive, so spawned actors would outlive a pass that raised
+    try:
+        # every stage is a plain function (stateless tasks; all Bloom state
+        # lives in the shard actors), so Ray fuses derive → mark → finish →
+        # tail into ONE task chain per block: no actor pool to spawn, no
+        # extra object-store hop for the marked blocks. batch_size=None on
+        # the tail → one partial per BLOCK, so the driver-side merge stays
+        # O(blocks), not O(rows/batch)
+        partials = (
+            add_key_columns(ds, key_cols)
+            .map_batches(
+                make_mark_fn(shards),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+                batch_size=batch_size,
+            )
+            .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+            .map_batches(
+                tail_cls(packed, output_dir=output_dir),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+                batch_size=None,
+            )
+        )
+        by_name = gather_partials(partials)
+        mark_phase("plan+execute+take_all")
+        if trace:
+            # per-operator wall/cpu breakdown of the fused pass — the scaling
+            # diagnosis tool (which stage stops scaling with cores)
+            try:
+                print(partials.stats(), file=sys.stderr)
+            except Exception:
+                pass
+        stats_refs = [s.stats.remote() for s in shards]
+        counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts")]
+        counters = {
+            "turns": sum(c[0] for c in counts),
+            "dups": sum(c[1] for c in counts),
+            "nulls": sum(c[2] for c in counts),
+        }
+        sketches = {n: tree_merge(sts) for n, sts in by_name.items()}
+        mark_phase("tree_merge")
+        shard_stats = ray.get(stats_refs)
+        mark_phase("shard_stats")
+    finally:
+        if owned:
+            for s in shards:
+                ray.kill(s)
+    return FlagshipResult(
+        counters=counters,
+        sketches=sketches,
+        shard_stats=shard_stats,
+        config={
+            "key_cols": key_cols,
+            "scope": scope,
+            "p": p,
+            "mem": mem,
+            "total_capacity": total_capacity,
+            "num_shards": len(shards),
+            "strip_previous": strip_previous,
+        },
     )
-    res.marked = guard
-    return FlagshipResult(counters=counters, sketches=sketches, mark=res)

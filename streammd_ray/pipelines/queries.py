@@ -192,26 +192,30 @@ def q_dedup_bloom_metrics(sf_dir: str):
     is oracle-checkable despite the probabilistic engine underneath."""
     import pandas as pd
 
-    from .mark_duplicates import compute_metrics, mark_duplicates
+    from .flagship import run_flagship
 
+    # exact CONVERSATIONS: conv_id is untouched by marking, so its distinct
+    # count over the input is the marked table's
+    conversations = (
+        transcripts_ds(sf_dir, columns=["conv_id"]).groupby("conv_id").count().count()
+    )
     rows = []
     for layout in ("classic", "split"):
-        res = mark_duplicates(
+        res = run_flagship(
             transcripts_ds(sf_dir),
             p=1e-9,
+            mem=None,
             num_shards=4,
-            materialize=True,
             bloom_layout=layout,
         )
-        m = compute_metrics(res.marked)
-        res.release()
+        m = res.metrics()
         rows.append(
             {
                 "bloom_layout": layout,
                 "turns": int(m["TURNS"]),
                 "turns_null_text": int(m["TURNS_NULL_TEXT"]),
                 "turns_marked_duplicate": int(m["TURNS_MARKED_DUPLICATE"]),
-                "conversations": int(m["CONVERSATIONS"]),
+                "conversations": int(conversations),
                 "turn_duplicate_fraction": float(m["TURN_DUPLICATE_FRACTION"]),
             }
         )

@@ -1,6 +1,7 @@
 """Duplicate-detection stages — the Ray-Data re-expression of the reference's
 single-pass Bloom dedup (/root/reference/src/markdups.cxx:86-135, studied for
-semantics only).
+semantics only). ``pipelines.flagship.run_flagship`` chains the first two
+into its one Bloom pass; the third is the exact path.
 
 Three building blocks, one implementation each:
 

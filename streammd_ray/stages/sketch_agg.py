@@ -143,24 +143,3 @@ def run_sketches(ds, specs: dict[str, tuple[str, Sketch]]) -> dict[str, Sketch]:
 def sketch_column(ds, col: str, proto: Sketch) -> Sketch:
     return run_sketches(ds, {"s": (col, proto)})["s"]
 
-
-def global_counts(ds, exprs: dict) -> dict:
-    """Global scalar aggregation without an all-to-all: each batch emits ONE
-    partial row (vectorized numpy on the Arrow batch), the driver folds the
-    ~#blocks partials. Ray's global ``Dataset.aggregate`` routes even simple
-    Count/Sum through the shuffle machinery — 2-3x the cost of the whole
-    pipeline at bench scale.
-
-    ``exprs`` maps name → fn(pa.Table) -> int/float (a partial; partials sum).
-    """
-    import pyarrow as pa
-
-    names = list(exprs)
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({n: [exprs[n](t)] for n in names})
-
-    rows = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    return {n: sum(r[n] for r in rows) for n in names}

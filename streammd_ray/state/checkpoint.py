@@ -9,12 +9,14 @@ adds the piece a multi-node run needs. Model:
   part-file writes) through the SAME long-lived Bloom shard actors (so
   cross-wave duplicates are still caught), writing its part files to
   ``output_dir/wave-{i}`` atomically (tmp dir + rename).
-- After each wave the driver checks shard capacity, commits the output,
+- After each wave the driver checks shard capacity (from the shard stats
+  the pass read), commits the output,
   snapshots every shard's serialized filter and running counters
   (``shards/wave-{i}/``), and records the wave's counters, sketch states and
   lineage (files, config, engine + hasher versions) in ``manifest.json``
   (written atomically).
-- On resume, completed waves are skipped; shard actors are re-loaded from
+- On resume, completed waves are skipped; shard actors are spawned only if
+  a wave is left to run, and re-loaded from
   the last completed wave's snapshot, so re-processing an unfinished wave
   re-inserts only keys that wave had added — Bloom re-insert is idempotent
   for membership (SURVEY.md §4.2 retry note), and its output directory is
@@ -112,7 +114,7 @@ def _snapshot_shards(shards, stats: list[dict], ckpt_dir: str, tag: str) -> None
     ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file), so a resumed
     run's shard stats and capacity check report true keys_seen/dups.
     ``stats`` is each shard's ``stats()`` taken since its last insert (the
-    capacity report's), so the counters cost no second round trip."""
+    pass's ``shard_stats``), so the counters cost no second round trip."""
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
@@ -190,8 +192,7 @@ def run_flagship_checkpointed(
 
     from .. import __version__
     from ..hashing import HASHER_ID
-    from ..pipelines.flagship import run_flagship
-    from ..pipelines.mark_duplicates import metrics_json
+    from ..pipelines.flagship import metrics_json, run_flagship
     from ..sketches.base import Sketch, merge_all
     from .shards import make_shard_actors
 
@@ -233,21 +234,26 @@ def run_flagship_checkpointed(
             "waves": {},
         }
 
-    shards = make_shard_actors(
-        num_shards, p=p, total_capacity=total_capacity, mem=mem, layout=bloom_layout
+    done = sorted(
+        int(k) for k, v in manifest["waves"].items() if v["status"] == "done"
     )
-    # kill on every exit: map workers keep the mark closure's shard handles
-    # alive, so the actors would outlive a wave that raised
-    try:
-        done = sorted(
-            int(k) for k, v in manifest["waves"].items() if v["status"] == "done"
+    todo = [i for i in range(len(waves)) if i not in done]
+    # spawned only when a wave is left to run; killed on every exit: map
+    # workers keep the mark closure's shard handles alive, so the actors
+    # would outlive a wave that raised
+    shards = (
+        make_shard_actors(
+            num_shards, p=p, total_capacity=total_capacity, mem=mem, layout=bloom_layout
         )
-        if done:
+        if todo
+        else []
+    )
+    try:
+        if todo and done:
             _restore_shards(shards, ckpt_dir, f"wave-{done[-1]}")
 
-        for i, files in enumerate(waves):
-            if manifest["waves"].get(str(i), {}).get("status") == "done":
-                continue
+        for i in todo:
+            files = waves[i]
             wave_out = os.path.join(output_dir, f"wave-{i}")
             tmp_out = wave_out + ".tmp"
             shutil.rmtree(tmp_out, ignore_errors=True)
@@ -265,14 +271,13 @@ def run_flagship_checkpointed(
                 num_shards=num_shards,
                 shards=shards,
                 output_dir=tmp_out,
-                seal=False,
                 key_cols=key_cols,
                 scope=scope,
                 remove_duplicates=remove_duplicates,
             )
-            report = res.mark.check_capacity(allow_overcapacity=allow_overcapacity)
+            res.check_capacity(allow_overcapacity=allow_overcapacity)
             os.replace(tmp_out, wave_out)
-            _snapshot_shards(shards, report["shards"], ckpt_dir, f"wave-{i}")
+            _snapshot_shards(shards, res.shard_stats, ckpt_dir, f"wave-{i}")
             manifest["waves"][str(i)] = {
                 "status": "done",
                 "files": files,

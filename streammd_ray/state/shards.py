@@ -13,12 +13,15 @@ P shard actors each own 1/P of the global Bloom filter; every key is routed
 to ``h1 mod P``, so each key always consults the same shard and the
 partitioned filter is decision-equivalent to one global filter of the same
 total (m, k) (SURVEY.md §7.0). The routing and marking stage lives in
-``stages/dedup.py``; snapshot and restore live in ``state/checkpoint.py``.
+``stages/dedup.py``; ``pipelines.flagship.run_flagship`` is the one pass
+that drives them (and kills the shards it spawned); snapshot and restore
+live in ``state/checkpoint.py``.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 
 import numpy as np
 
@@ -91,7 +94,6 @@ class _BloomShard:
         # so eviction hits the coldest entries — those of long-finished tasks
         # — first, not a live task's entry in a long-lived worker
         self._cache: collections.OrderedDict = collections.OrderedDict()
-        self._sealed = False
 
     _CACHE_MAX = 4096
 
@@ -107,17 +109,9 @@ class _BloomShard:
         (SURVEY.md §7.3 "exactness under retries"). Two genuinely distinct
         batches with byte-identical content (e.g. a byte-copied input file)
         come from different tasks/ordinals and do NOT replay. The cache is
-        bounded; callers must still consume the marked dataset exactly once
-        (materialize or write) — full plan re-executions are not replays and
-        are caught by :meth:`seal`.
+        bounded, and a full re-execution of a marking plan is not a replay:
+        ``run_flagship`` executes its plan exactly once.
         """
-        if self._sealed:
-            raise RuntimeError(
-                "Bloom shard is sealed: the marked dataset was already "
-                "consumed; a second execution of the lazy plan would "
-                "re-insert every key and mark every row duplicate "
-                "(consume-once contract, pipelines/mark_duplicates.py)"
-            )
         if batch_key is not None and batch_key in self._cache:
             self._cache.move_to_end(batch_key)
             return self._cache[batch_key]
@@ -143,17 +137,6 @@ class _BloomShard:
             "count_estimate": self.bf.count_estimate(),
         }
 
-    def seal(self) -> None:
-        """Refuse further inserts: called once the marked dataset has been
-        consumed, so a silent plan re-execution fails loudly instead of
-        re-inserting every key (the consume-once contract made enforceable)."""
-        self._sealed = True
-
-    def unseal(self) -> None:
-        """Re-allow inserts — used by the wave/checkpoint driver, where the
-        SAME shard actors intentionally process successive waves."""
-        self._sealed = False
-
     def state(self) -> bytes:
         """The filter in the sketch state layout, uncompressed (the
         checkpoint driver compresses it on its way to disk)."""
@@ -169,7 +152,17 @@ class _BloomShard:
         self.keys_seen = keys_seen
         self.dups = dups
         self._cache.clear()
-        self._sealed = False
+
+
+@functools.cache
+def _shard_actor_class():
+    """The shard actor class, made once per process: each ``ray.remote`` of
+    ``_BloomShard`` would pickle and fingerprint the class anew, while one
+    cached handle exports it to a session only once (Ray re-exports it by
+    itself after a new ``ray.init``)."""
+    import ray
+
+    return ray.remote(num_cpus=0)(_BloomShard)
 
 
 def make_shard_actors(
@@ -195,9 +188,7 @@ def make_shard_actors(
     few pipelines have run in one session (reservations outlive the
     pipeline until the actors are released).
     """
-    import ray
-
-    Actor = ray.remote(num_cpus=0)(_BloomShard)
+    Actor = _shard_actor_class()
     kwargs: dict = {"layout": layout}
     if mem is not None:
         m, k = shard_geometry(mem, num_shards, layout)

@@ -19,3 +19,25 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def flagship_marked(ray_session, tmp_path):
+    """``run(ds, **kwargs)``: one ``run_flagship`` pass into a fresh
+    part-file directory; returns the result and the marked rows read back
+    from the part files as pandas. The filters are sized by capacity
+    (``mem=None``) unless the call gives ``mem``."""
+    import itertools
+
+    import pyarrow.parquet as pq
+
+    from streammd_ray.pipelines import run_flagship
+
+    runs = itertools.count()
+
+    def run(ds, **kwargs):
+        out = str(tmp_path / f"marked-{next(runs)}")
+        res = run_flagship(ds, output_dir=out, **{"mem": None, **kwargs})
+        return res, pq.ParquetDataset(out).read().to_pandas()
+
+    return run

@@ -57,19 +57,6 @@ def test_mark_stage_batch_key_distinguishes_ordinals():
     assert k1 != k2
 
 
-def test_sealed_shard_rejects_inserts():
-    from streammd_ray.stages.dedup import _BloomShard
-
-    sh = _BloomShard(1e-6, 1000)
-    sh.add(np.array([1], dtype=np.uint64), np.array([2], dtype=np.uint64))
-    sh.seal()
-    with pytest.raises(RuntimeError, match="sealed"):
-        sh.add(np.array([3], dtype=np.uint64), np.array([4], dtype=np.uint64))
-    sh.unseal()
-    out = sh.add(np.array([3], dtype=np.uint64), np.array([4], dtype=np.uint64))
-    assert out.tolist() == [True]
-
-
 def test_tdigest_nan_values_keep_weight_alignment():
     from streammd_ray.sketches.tdigest import TDigest
 
@@ -89,32 +76,6 @@ def test_tdigest_weight_length_mismatch_raises():
     td = TDigest()
     with pytest.raises(ValueError, match="length"):
         td.insert_batch(np.array([1.0, 2.0]), weights=np.array([1.0]))
-
-
-def test_flagship_consume_once_guard(ray_session):
-    import ray.data as rd
-    import pyarrow as pa
-
-    from streammd_ray.pipelines.flagship import run_flagship
-
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "conv_id": ["a"] * 4 + ["b"] * 4,
-                "turn_idx": list(range(4)) * 2,
-                "role": ["user"] * 8,
-                "text": ["x", "y", "x", "z", "w", "w", "v", None],
-                "tool": [None] * 8,
-            }
-        )
-    )
-    res = run_flagship(ds, num_shards=2)
-    try:
-        assert res.counters["turns"] > 0
-        with pytest.raises(RuntimeError, match="consumed"):
-            res.mark.marked.count()
-    finally:
-        res.mark.release()
 
 
 def test_checkpoint_resume_restores_counters(ray_session, tmp_path):

@@ -241,13 +241,12 @@ def test_shard_state_roundtrip_preserves_split_layout():
     assert not sh2.add(h1, h2).any()
 
 
-def test_mark_duplicates_split_agrees_with_classic(ray_session, tmp_path):
-    """mark_duplicates(bloom_layout='split') end-to-end: identical metrics
+def test_run_flagship_split_agrees_with_classic(flagship_marked, tmp_path):
+    """run_flagship(bloom_layout='split') end-to-end: identical metrics
     to the classic layout (at p=1e-9 and 12k keys neither layout can
     plausibly produce a false positive)."""
     import ray.data as rd
 
-    from streammd_ray.pipelines import compute_metrics, mark_duplicates
     from streammd_ray.sources import generate_transcripts
 
     out = str(tmp_path / "gen")
@@ -257,15 +256,13 @@ def test_mark_duplicates_split_agrees_with_classic(ray_session, tmp_path):
     truth = truth.to_pandas()
     metrics = {}
     for layout in ("classic", "split"):
-        res = mark_duplicates(
-            rd.read_parquet(paths),
-            p=1e-9,
-            num_shards=4,
-            materialize=True,
-            bloom_layout=layout,
+        res, marked = flagship_marked(
+            rd.read_parquet(paths), p=1e-9, num_shards=4, bloom_layout=layout
         )
-        metrics[layout] = compute_metrics(res.marked)
-        res.release()
+        metrics[layout] = {
+            **res.metrics(),
+            "CONVERSATIONS": marked["conv_id"].nunique(),
+        }
     assert metrics["split"] == metrics["classic"]
     assert metrics["split"]["TURNS_MARKED_DUPLICATE"] == int(
         truth["is_duplicate"].sum()

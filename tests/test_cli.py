@@ -14,7 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from streammd_ray import cli
-from streammd_ray.pipelines.mark_duplicates import CapacityExceeded
+from streammd_ray.pipelines import CapacityExceeded
 from streammd_ray.sources import generate_transcripts
 from streammd_ray.sources.io import read_transcripts
 

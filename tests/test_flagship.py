@@ -2,9 +2,11 @@
 estimates within bounds, single-pass write + sketch consistency."""
 
 import glob
+import time
 
-import numpy as np
+import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from streammd_ray.pipelines import run_flagship
@@ -23,7 +25,6 @@ def data(tmp_path_factory):
 def test_flagship_counters_and_sketches(ray_session, data):
     path, truth = data
     out = run_flagship(rd.read_parquet(path), p=1e-9, num_shards=4)
-    out.mark.release()
     assert out.counters["turns"] == len(truth)
     assert out.counters["nulls"] == int(truth["text"].isna().sum())
     assert out.counters["dups"] == int(truth["is_duplicate"].sum())
@@ -50,10 +51,63 @@ def test_flagship_with_output_dir(ray_session, data, tmp_path):
     out = run_flagship(
         rd.read_parquet(path), p=1e-9, num_shards=4, output_dir=outdir
     )
-    out.mark.release()
     files = glob.glob(outdir + "/*.parquet")
     assert files
     written = rd.read_parquet(outdir).to_pandas()
     assert len(written) == len(truth)
     # the written marks agree with the counters from the same pass
     assert int(written["is_duplicate"].sum()) == out.counters["dups"]
+
+
+def _shard_states() -> dict:
+    return {
+        aid: a["State"]
+        for aid, a in ray._private.state.actors().items()
+        if a["ActorClassName"] == "_BloomShard"
+    }
+
+
+def test_raising_pass_kills_its_shards(ray_session):
+    """A pass that raises (here: an input carrying the reserved key column)
+    kills the shards it spawned, even those still starting."""
+    before = set(_shard_states())
+    ds = rd.from_arrow(pa.table({"text": ["a", "b"], "__key_h1": [1, 2]}))
+    with pytest.raises(Exception, match="reserved columns"):
+        run_flagship(ds, mem="64KiB", num_shards=2)
+    # ray.kill is asynchronous, so poll until every spawned shard is DEAD
+    deadline = time.monotonic() + 30
+    while True:
+        spawned = {a: st for a, st in _shard_states().items() if a not in before}
+        if set(spawned.values()) == {"DEAD"} or time.monotonic() > deadline:
+            break
+        time.sleep(0.2)
+    assert len(spawned) == 2
+    assert set(spawned.values()) == {"DEAD"}
+
+
+def test_caller_shards_survive_and_take_a_second_pass(ray_session, data):
+    """Shards a caller passes stay alive and report their post-pass stats;
+    reloaded with an empty filter, they give a second pass identical
+    counters (perfbench's reuse of one shard set across jobs)."""
+    from streammd_ray.stages.dedup import make_shard_actors
+
+    path, truth = data
+    shards = make_shard_actors(2, p=1e-9, mem="1MiB", layout="split")
+    try:
+        empty = ray.get(shards[0].state.remote())
+        first = run_flagship(rd.read_parquet(path), p=1e-9, shards=shards)
+        states = _shard_states()
+        assert {states[s._actor_id.hex()] for s in shards} == {"ALIVE"}
+        assert first.shard_stats == ray.get([s.stats.remote() for s in shards])
+        assert sum(s["keys_seen"] for s in first.shard_stats) == int(
+            truth["text"].notna().sum()
+        )
+        assert first.counters["dups"] == int(truth["is_duplicate"].sum())
+
+        ray.get([s.load.remote(empty) for s in shards])
+        second = run_flagship(rd.read_parquet(path), p=1e-9, shards=shards)
+        assert second.counters == first.counters
+        assert second.shard_stats == first.shard_stats
+    finally:
+        for s in shards:
+            ray.kill(s)

@@ -169,6 +169,36 @@ def test_kill_and_resume_content_identical(
     assert manifest["metrics"]["TURNS_MARKED_DUPLICATE"] == 400
 
 
+def _shard_actor_ids() -> set:
+    import ray
+
+    return {
+        aid
+        for aid, a in ray._private.state.actors().items()
+        if a["ActorClassName"] == "_BloomShard"
+    }
+
+
+def test_rerun_of_finished_checkpoint_spawns_no_shard(
+    ray_session, wave_files, tmp_path
+):
+    """With every wave done, a second call only re-reads the manifest: the
+    same metrics, and no shard actor created, in any state."""
+    run = dict(
+        ckpt_dir=str(tmp_path / "ckpt"),
+        output_dir=str(tmp_path / "out"),
+        wave_size=2,
+        p=1e-9,
+        mem="1MiB",
+        num_shards=1,
+    )
+    first, _ = run_flagship_checkpointed(wave_files, **run)
+    before = _shard_actor_ids()
+    second, _ = run_flagship_checkpointed(wave_files, **run)
+    assert second["metrics"] == first["metrics"]
+    assert _shard_actor_ids() == before
+
+
 def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
     run = dict(
         ckpt_dir=str(tmp_path / "ckpt"),

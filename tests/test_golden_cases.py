@@ -13,7 +13,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from streammd_ray.pipelines import compute_metrics, mark_duplicates, run_flagship
+from streammd_ray.pipelines import run_flagship
 from streammd_ray.stages import dedup_exact_first
 
 
@@ -72,17 +72,18 @@ def test_exact_first_golden(ray_session, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_bloom_golden_counts(ray_session, name):
+def test_bloom_golden_counts(flagship_marked, name):
     df = CASES[name]
-    res = mark_duplicates(_ds(df), p=1e-9, num_shards=2, materialize=True)
-    m = compute_metrics(res.marked)
+    res, got = flagship_marked(_ds(df), p=1e-9, num_shards=2)
+    m = res.metrics()
     assert m["TURNS"] == len(df)
     assert m["TURNS_NULL_TEXT"] == int(df["text"].isna().sum())
     assert m["TURNS_MARKED_DUPLICATE"] == int(df["want"].sum()), name
-    assert m["CONVERSATIONS"] == df["conv_id"].nunique()
+    true_convs = df["conv_id"].nunique()
+    assert got["conv_id"].nunique() == true_convs
+    hll = res.sketches["convs_hll"]
+    assert abs(m["CONVERSATIONS"] - true_convs) / true_convs < 4 * hll.relative_error
     # per-key invariant: exactly one unmarked row per distinct non-null text
-    got = res.marked.to_pandas()
-    res.release()
     nn = got[got["text"].notna()]
     assert (nn.groupby("text")["is_duplicate"].agg(lambda s: (~s).sum()) == 1).all()
 
@@ -122,16 +123,12 @@ def test_scope_divergence_conversation_vs_global(ray_session):
     assert not conv.any()
 
     # same divergence through the Bloom engine (count-level)
-    r_glob = mark_duplicates(_ds(df), p=1e-9, num_shards=2, materialize=True)
-    m_glob = compute_metrics(r_glob.marked)
-    r_glob.release()
-    r_conv = mark_duplicates(
-        _ds(df), p=1e-9, num_shards=2, scope="conversation", materialize=True
+    r_glob = run_flagship(_ds(df), p=1e-9, mem=None, num_shards=2)
+    r_conv = run_flagship(
+        _ds(df), p=1e-9, mem=None, num_shards=2, scope="conversation"
     )
-    m_conv = compute_metrics(r_conv.marked)
-    r_conv.release()
-    assert m_glob["TURNS_MARKED_DUPLICATE"] == 1
-    assert m_conv["TURNS_MARKED_DUPLICATE"] == 0
+    assert r_glob.counters["dups"] == 1
+    assert r_conv.counters["dups"] == 0
 
 
 @pytest.mark.parametrize("strip", [False, True])
@@ -160,7 +157,6 @@ def test_strip_previous_remove_matrix(ray_session, tmp_path, strip, remove):
         strip_previous=strip,
         remove_duplicates=remove,
     )
-    res.mark.release()
     # row (c1,0): stale prior mark survives unless strip_previous
     want = {("c1", 0): not strip, ("c1", 1): False, ("c1", 2): True}
     assert res.counters["dups"] == sum(want.values())
@@ -236,7 +232,7 @@ def test_cross_wave_duplicate_survives_checkpoint_resume(
     assert len(dup_rows) == 1 and dup_rows.iloc[0]["text"] == "shared"
 
 
-def test_bloom_identity_divergence_documented(ray_session):
+def test_bloom_identity_divergence_documented(flagship_marked):
     """INTENTIONAL DIVERGENCE (the reference's [!shouldfail] analog,
     tests/test_picard.cxx:56-72 pattern): under parallel arrival the Bloom
     engine guarantees exactly ONE surviving (unmarked) row per distinct key,
@@ -246,9 +242,7 @@ def test_bloom_identity_divergence_documented(ray_session):
     with the exact path is deliberately NOT asserted."""
     rows = [(f"c{i}", j, f"key{i % 7}", None) for i in range(21) for j in range(2)]
     df = _case([(c, t, x, False) for c, t, x, _ in rows])
-    res = mark_duplicates(_ds(df), p=1e-9, num_shards=4, materialize=True)
-    out = res.marked.to_pandas()
-    res.release()
+    _, out = flagship_marked(_ds(df), p=1e-9, num_shards=4)
     survivors = out[~out["is_duplicate"]].groupby("text").size()
     # exactly one survivor per distinct key, every other row marked
     assert (survivors == 1).all()
@@ -336,7 +330,7 @@ def test_null_sentinel_vs_literal_in_secondary_key(ray_session):
     assert not out.any(), out
 
 
-def test_bloom_empty_string_vs_null_path(ray_session):
+def test_bloom_empty_string_vs_null_path(flagship_marked):
     """At the BLOOM path specifically: '' is a real inserted key (its repeat
     is marked, count_estimate sees it) while nulls never touch the filter
     (TURNS_NULL_TEXT counted, never marked, not inserted)."""
@@ -348,18 +342,16 @@ def test_bloom_empty_string_vs_null_path(ray_session):
             ("c4", 0, "", True),
         ]
     )
-    res = mark_duplicates(_ds(df), p=1e-9, num_shards=2, materialize=True)
-    m = compute_metrics(res.marked)
-    assert m["TURNS_MARKED_DUPLICATE"] == 1
-    assert m["TURNS_NULL_TEXT"] == 2
-    got = res.marked.to_pandas().set_index(["conv_id", "turn_idx"])["is_duplicate"]
+    res, marked = flagship_marked(_ds(df), p=1e-9, num_shards=2)
+    assert res.counters["dups"] == 1
+    assert res.counters["nulls"] == 2
+    got = marked.set_index(["conv_id", "turn_idx"])["is_duplicate"]
     assert bool(got.loc[("c4", 0)]) or bool(got.loc[("c1", 0)])  # one '' marked
     assert not got.loc[("c2", 0)] and not got.loc[("c3", 0)]
     # the filters hold exactly ONE distinct key (the empty string), counted
     # once across the shards (count_estimate itself is the reference's
     # ceil and rounds 1.0000007 up to 2, so the added-key count is asserted)
-    assert sum(s["n_added"] for s in res.shard_stats()) == 1
-    res.release()
+    assert sum(s["n_added"] for s in res.shard_stats) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +559,8 @@ def test_megabyte_texts_split_across_blocks(ray_session):
     want = df.set_index(["conv_id", "turn_idx"])["want"]
     assert out.reindex(want.index).tolist() == want.tolist()
 
-    res = mark_duplicates(
-        _ds(df).repartition(4), p=1e-9, num_shards=2, materialize=True
-    )
-    m = compute_metrics(res.marked)
-    res.release()
-    assert m["TURNS_MARKED_DUPLICATE"] == 2
+    res = run_flagship(_ds(df).repartition(4), p=1e-9, mem=None, num_shards=2)
+    assert res.counters["dups"] == 2
 
 
 def test_cross_shard_duplicate_placement(ray_session):
@@ -585,14 +573,12 @@ def test_cross_shard_duplicate_placement(ray_session):
         rows.append((f"first-{i}", 0, f"shardkey-{i}", False))
         rows.append((f"second-{i}", 0, f"shardkey-{i}", True))
     df = _case(rows)
-    res = mark_duplicates(_ds(df), p=1e-9, num_shards=8, materialize=True)
-    m = compute_metrics(res.marked)
-    assert m["TURNS_MARKED_DUPLICATE"] == 64
-    stats = res.shard_stats()
+    res = run_flagship(_ds(df), p=1e-9, mem=None, num_shards=8)
+    assert res.counters["dups"] == 64
+    stats = res.shard_stats
     # all shards participated (64 hashed keys over 8 shards: the odds of an
     # empty shard are (7/8)^64 ~ 2e-4 per shard; the fixed key set makes
     # this deterministic in practice)
     assert sum(s["keys_seen"] for s in stats) == 128
     assert sum(s["dups"] for s in stats) == 64
     assert all(s["keys_seen"] > 0 for s in stats), stats
-    res.release()
