@@ -110,6 +110,17 @@ def show_capacity(args) -> dict:
     }
 
 
+def _warn_overcapacity(over: int, max_fpr: float, args) -> None:
+    """The WARNING line for a run that --allow-overcapacity let through."""
+    if over:
+        print(
+            f"WARNING: {over}/{args.num_shards} Bloom shards over capacity; "
+            f"max marginal FPR {max_fpr:.3g} exceeds target {args.fp_rate} "
+            "(--allow-overcapacity given, continuing)",
+            file=sys.stderr,
+        )
+
+
 def _run_plain(args, paths, key_cols, scope) -> dict:
     """One fused mark + sketch + persist pass (see the module docstring)."""
     from .pipelines.flagship import run_flagship
@@ -135,14 +146,9 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
             remove_duplicates=args.remove_duplicates,
         )
         report = res.check_capacity(allow_overcapacity=args.allow_overcapacity)
-        if report["overcapacity_shards"]:
-            print(
-                f"WARNING: {report['overcapacity_shards']}/{len(report['shards'])} "
-                f"Bloom shards over capacity; max marginal FPR "
-                f"{report['max_marginal_fpr']:.3g} exceeds target {args.fp_rate} "
-                "(--allow-overcapacity given, continuing)",
-                file=sys.stderr,
-            )
+        _warn_overcapacity(
+            report["overcapacity_shards"], report["max_marginal_fpr"], args
+        )
         parts = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
         if args.sort_output or args.output_format != "parquet":
             import ray.data as rd
@@ -234,6 +240,12 @@ def main(argv=None) -> int:
                 bloom_layout=args.bloom_layout,
                 remove_duplicates=args.remove_duplicates,
                 allow_overcapacity=args.allow_overcapacity,
+            )
+            waves = manifest["waves"].values()
+            _warn_overcapacity(
+                max(w.get("overcapacity_shards", 0) for w in waves),
+                max(w.get("max_marginal_fpr", 0.0) for w in waves),
+                args,
             )
             metrics = manifest["metrics"]
         else:

@@ -27,6 +27,7 @@ from ..sources.transcripts import (
     transcripts_sql,
 )
 from ..stages.dedup import dedup_exact_first
+from ..stages.quantiles import exact_quantile_select
 
 T_CTE = f"WITH transcripts AS (\n{transcripts_sql()}\n)"
 
@@ -76,19 +77,6 @@ def transcripts_ds(sf_dir: str, *, columns: list[str] | None = None):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def exact_quantile_disc(ds, col: str, qs: tuple[float, ...]) -> list:
-    """Exact discrete quantiles at scale — distributed k-th selection by
-    iterative histogram refinement (stages/quantiles.py): every pass is a
-    per-batch partial over the pruned column, the driver holds a fixed
-    65536-bucket histogram, and a cardinality guard errors loudly instead of
-    OOMing on pathological skew. Matches DuckDB quantile_disc
-    (rank = ceil(q·n)−1; NaN treated as NULL — documented divergence from
-    DuckDB's NaN-sorts-greatest on NaN-bearing columns)."""
-    from ..stages.quantiles import exact_quantile_select
-
-    return exact_quantile_select(ds, col, qs)
 
 
 def _one_row(d: dict) -> pa.Table:
@@ -321,7 +309,7 @@ def q_turn_length_quantiles_exact(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    p50, p90, p99 = exact_quantile_disc(ds, "len", (0.5, 0.9, 0.99))
+    p50, p90, p99 = exact_quantile_select(ds, "len", (0.5, 0.9, 0.99))
     return _one_row({"p50": int(p50), "p90": int(p90), "p99": int(p99)})
 
 
@@ -365,17 +353,15 @@ def _latency_ds(sf_dir: str):
     out = partitioned_group_apply(
         ds, "conv_id", per_key_diff_partition(), num_partitions=32
     )
-    # quantile selection scans its input several times (min/max, histogram,
-    # collect): pin the derived single-int64 column once instead of
-    # re-running the windowed derivation per pass. At extreme scale the
-    # derive-once layout writes this column to parquet (transcripts_ds
-    # pattern) rather than pinning.
+    # kll_accuracy reads this column three times (sketch, rank check, exact
+    # quantiles): pin it once instead of re-running the windowed derivation
+    # per read.
     return out.materialize()
 
 
 def q_latency_quantiles_exact(sf_dir: str):
     dt = _latency_ds(sf_dir)
-    p50, p90, p99 = exact_quantile_disc(dt, "dt_us", (0.5, 0.9, 0.99))
+    p50, p90, p99 = exact_quantile_select(dt, "dt_us", (0.5, 0.9, 0.99))
     return _one_row({"p50": int(p50), "p90": int(p90), "p99": int(p99)})
 
 
@@ -514,7 +500,7 @@ def q_tdigest_accuracy(sf_dir: str):
     td = sketch_column(lens, "len", TDigest())
     est = [float(td.quantile(q)) for q in qs]
     ranks, _ = _rank_of(lens, "len", est)
-    v_exact = exact_quantile_disc(lens, "len", qs)
+    v_exact = exact_quantile_select(lens, "len", qs)
     return pa.table(
         {
             "q": pa.array(list(qs), pa.float64()),
@@ -549,7 +535,7 @@ def q_kll_accuracy(sf_dir: str):
     kll = sketch_column(dt, "dt_us", KLL(k=200))
     est = [float(kll.quantile(q)) for q in qs]
     ranks, _ = _rank_of(dt, "dt_us", est)
-    v_exact = exact_quantile_disc(dt, "dt_us", qs)
+    v_exact = exact_quantile_select(dt, "dt_us", qs)
     eps = 4 * kll.rank_error
     return pa.table(
         {

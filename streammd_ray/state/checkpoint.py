@@ -177,7 +177,10 @@ def run_flagship_checkpointed(
     manifest config: a resume with any of them changed raises
     ``ValueError`` instead of mixing geometries or key specs.
     Each wave's capacity is checked before it commits; an over-capacity
-    filter raises ``CapacityExceeded`` unless ``allow_overcapacity``.
+    filter raises ``CapacityExceeded`` unless ``allow_overcapacity``, and
+    each wave's manifest entry records its ``overcapacity_shards`` count and
+    ``max_marginal_fpr`` (an entry written before these fields existed
+    lacks them; such a checkpoint still resumes).
 
     A wave reads one block per file, so it runs one fused task per file
     (read → mark → sketch tail → part file): ``wave_size`` sets the wave's
@@ -275,7 +278,7 @@ def run_flagship_checkpointed(
                 scope=scope,
                 remove_duplicates=remove_duplicates,
             )
-            res.check_capacity(allow_overcapacity=allow_overcapacity)
+            report = res.check_capacity(allow_overcapacity=allow_overcapacity)
             os.replace(tmp_out, wave_out)
             _snapshot_shards(shards, res.shard_stats, ckpt_dir, f"wave-{i}")
             manifest["waves"][str(i)] = {
@@ -284,6 +287,8 @@ def run_flagship_checkpointed(
                 "output": wave_out,
                 "parts": sorted(os.listdir(wave_out)),
                 "metrics": {k: int(v) for k, v in res.counters.items()},
+                "overcapacity_shards": report["overcapacity_shards"],
+                "max_marginal_fpr": report["max_marginal_fpr"],
                 "sketches": {
                     n: base64.b64encode(compress(sk.to_bytes())).decode("ascii")
                     for n, sk in res.sketches.items()

@@ -124,9 +124,6 @@ class _BloomShard:
             self._cache[batch_key] = was_new
         return was_new
 
-    def contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        return self.bf.contains_hashed(h1, h2)
-
     def stats(self) -> dict:
         return {
             "keys_seen": self.keys_seen,

@@ -41,3 +41,34 @@ def flagship_marked(ray_session, tmp_path):
         return res, pq.ParquetDataset(out).read().to_pandas()
 
     return run
+
+
+@pytest.fixture
+def settled_new_shards(ray_session):
+    """``settle()``: the state of every ``_BloomShard`` actor created since
+    the fixture was set up, polled until each is DEAD or 30 s pass.
+    ``ray.kill`` lands asynchronously, and a shard still starting is not
+    ALIVE yet, so a poll "until none is ALIVE" can pass at once while
+    shards leak: only "every new shard is DEAD" shows that none did."""
+    import time
+
+    import ray
+
+    def states() -> dict:
+        return {
+            aid: a["State"]
+            for aid, a in ray._private.state.actors().items()
+            if a["ActorClassName"] == "_BloomShard"
+        }
+
+    before = set(states())
+
+    def settle() -> dict:
+        deadline = time.monotonic() + 30
+        while True:
+            new = {a: s for a, s in states().items() if a not in before}
+            if set(new.values()) == {"DEAD"} or time.monotonic() > deadline:
+                return new
+            time.sleep(0.2)
+
+    return settle

@@ -43,7 +43,7 @@ def test_shard_load_drops_replay_cache():
     sh.load(empty)
     assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]
     assert sh.keys_seen == 2
-    assert sh.contains(h1, h2).all()
+    assert sh.bf.contains_hashed(h1, h2).all()
 
 
 def test_mark_stage_batch_key_distinguishes_ordinals():

@@ -83,6 +83,42 @@ def test_capacity_guard_blocks_wave_commit(ray_session, data, tmp_path):
         **tiny,
     )
     assert sorted(manifest["waves"]) == ["0", "1"]
+    # the manifest flags every wave whose filter overflowed
+    for w in manifest["waves"].values():
+        assert w["overcapacity_shards"] == 1
+        assert w["max_marginal_fpr"] > tiny["p"]
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_cli_allow_overcapacity_warns(
+    ray_session, data, tmp_path, capsys, checkpoint
+):
+    """Both CLI modes finish an over-capacity run under --allow-overcapacity
+    and print the same WARNING line; a checkpoint whose wave entries predate
+    the overcapacity fields still resumes."""
+    paths, _ = data
+    ckpt = str(tmp_path / "ckpt")
+    argv = [
+        "--input", os.path.dirname(paths[0]),
+        "--output", str(tmp_path / "out"),
+        "-p", "1e-9",
+        "-m", "64B",
+        "--num-shards", "1",
+        "--metrics", str(tmp_path / "metrics.json"),
+        "--allow-overcapacity",
+        *(["--checkpoint-dir", ckpt, "--wave-size", "4"] if checkpoint else []),
+    ]  # fmt: skip
+    assert cli.main(argv) == 0
+    assert "WARNING: 1/1 Bloom shards over capacity" in capsys.readouterr().err
+    if checkpoint:
+        manifest_path = os.path.join(ckpt, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        for w in manifest["waves"].values():
+            del w["overcapacity_shards"], w["max_marginal_fpr"]
+        with open(manifest_path, "w") as f:
+            json.dump(manifest, f)
+        assert cli.main(argv) == 0
+        assert json.load(open(manifest_path))["metrics"] == manifest["metrics"]
 
 
 def test_cli_checkpoint_dir(ray_session, data, tmp_path):

@@ -6,7 +6,6 @@ capacity guard, and how the CLI starts and stops Ray."""
 import glob
 import json
 import os
-import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -55,16 +54,6 @@ def _assert_metrics_match_truth(m, truth):
     # CONVERSATIONS is the ridden HLL's estimate
     true_convs = truth["conv_id"].nunique()
     assert abs(m["CONVERSATIONS"] - true_convs) / true_convs < 0.05
-
-
-def _alive_shards() -> set:
-    import ray
-
-    return {
-        aid
-        for aid, a in ray._private.state.actors().items()
-        if a["State"] == "ALIVE" and "_BloomShard" in a["ActorClassName"]
-    }
 
 
 def test_plain_run_metrics_and_one_part_per_file(ray_session, data, tmp_path):
@@ -153,22 +142,22 @@ def test_plain_run_prior_marks_and_strip_previous(ray_session, tmp_path, strip):
     assert m["TURNS_MARKED_DUPLICATE"] == (1 if strip else 2)
 
 
-def test_plain_run_capacity_exceeded_leaves_output(ray_session, data, tmp_path):
+def test_plain_run_capacity_exceeded_leaves_output(
+    settled_new_shards, data, tmp_path
+):
     """A too-small filter raises before the commit: --output keeps what it
     held, no temporary directory is left beside it, and no shard lives on."""
     paths, _ = data
     out = tmp_path / "out"
     out.mkdir()
     (out / "keep.txt").write_text("earlier output")
-    before = _alive_shards()
     with pytest.raises(CapacityExceeded):
         _run(paths, tmp_path, "-m", "64B", "--num-shards", "1")
     assert os.listdir(out) == ["keep.txt"]
     assert sorted(os.listdir(tmp_path)) == ["out"]
-    deadline = time.monotonic() + 30
-    while _alive_shards() - before and time.monotonic() < deadline:
-        time.sleep(0.2)
-    assert not _alive_shards() - before
+    spawned = settled_new_shards()
+    assert len(spawned) == 1
+    assert set(spawned.values()) == {"DEAD"}
 
 
 class _InitCalled(Exception):

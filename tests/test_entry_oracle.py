@@ -59,30 +59,16 @@ def catalog():
     return entrymod.queries(), entrymod.oracle_sql()
 
 
-def _alive_shards() -> set:
-    import ray
-
-    return {
-        aid
-        for aid, a in ray._private.state.actors().items()
-        if a["ActorClassName"] == "_BloomShard" and a["State"] == "ALIVE"
-    }
-
-
-def test_entry_smoke(ray_session):
-    import time
-
-    before = _alive_shards()
+def test_entry_smoke(settled_new_shards):
     res = entrymod.entry()
     df = _to_df(res)
     assert len(df) >= 0
     assert "is_duplicate" in df.columns
     assert set(df.columns) >= {"conv_id", "turn_idx", "role", "text", "tool", "ts"}
-    # entry() kills the shards it spawned; ray.kill is asynchronous, so poll
-    deadline = time.monotonic() + 30
-    while _alive_shards() - before and time.monotonic() < deadline:
-        time.sleep(0.2)
-    assert not _alive_shards() - before
+    # entry() kills the 4 shards it spawned
+    spawned = settled_new_shards()
+    assert len(spawned) == 4
+    assert set(spawned.values()) == {"DEAD"}
 
 
 def test_every_oracle_has_query(catalog):

@@ -2,7 +2,6 @@
 estimates within bounds, single-pass write + sketch consistency."""
 
 import glob
-import time
 
 import pyarrow as pa
 import pytest
@@ -67,20 +66,13 @@ def _shard_states() -> dict:
     }
 
 
-def test_raising_pass_kills_its_shards(ray_session):
+def test_raising_pass_kills_its_shards(settled_new_shards):
     """A pass that raises (here: an input carrying the reserved key column)
     kills the shards it spawned, even those still starting."""
-    before = set(_shard_states())
     ds = rd.from_arrow(pa.table({"text": ["a", "b"], "__key_h1": [1, 2]}))
     with pytest.raises(Exception, match="reserved columns"):
         run_flagship(ds, mem="64KiB", num_shards=2)
-    # ray.kill is asynchronous, so poll until every spawned shard is DEAD
-    deadline = time.monotonic() + 30
-    while True:
-        spawned = {a: st for a, st in _shard_states().items() if a not in before}
-        if set(spawned.values()) == {"DEAD"} or time.monotonic() > deadline:
-            break
-        time.sleep(0.2)
+    spawned = settled_new_shards()
     assert len(spawned) == 2
     assert set(spawned.values()) == {"DEAD"}
 

@@ -84,21 +84,9 @@ def test_full_run_marks_cross_wave_dups(ray_session, wave_files, tmp_path):
         assert set(w["sketches"]) == set(merged)
 
 
-def _alive_shards() -> set:
-    import ray
-
-    return {
-        aid
-        for aid, a in ray._private.state.actors().items()
-        if a["ActorClassName"] == "_BloomShard" and a["State"] == "ALIVE"
-    }
-
-
 def test_kill_and_resume_content_identical(
-    ray_session, wave_files, tmp_path, monkeypatch
+    settled_new_shards, wave_files, tmp_path, monkeypatch
 ):
-    import time
-
     import streammd_ray.pipelines.flagship as fmod
 
     real = fmod.run_flagship
@@ -113,8 +101,6 @@ def test_kill_and_resume_content_identical(
         return real(*a, **k)
 
     monkeypatch.setattr(fmod, "run_flagship", crashing)
-    # shards left by earlier tests in the session are not this runner's
-    before = _alive_shards()
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_flagship_checkpointed(
             wave_files,
@@ -127,11 +113,10 @@ def test_kill_and_resume_content_identical(
     manifest = json.load(open(os.path.join(ckpt, "manifest.json")))
     done = {k for k, v in manifest["waves"].items() if v["status"] == "done"}
     assert done == {"0"}
-    # the crashed run killed its shards (ray.kill lands asynchronously)
-    deadline = time.monotonic() + 30
-    while _alive_shards() - before and time.monotonic() < deadline:
-        time.sleep(0.2)
-    assert not _alive_shards() - before
+    # the crashed run killed its shards
+    spawned = settled_new_shards()
+    assert len(spawned) == 4
+    assert set(spawned.values()) == {"DEAD"}
     monkeypatch.undo()
 
     # resume: only the unfinished waves run

@@ -147,7 +147,7 @@ def test_exact_quantile_select_property(ray_session, vals, q):
 
     v = np.array(vals)
     ds = rd.from_arrow(pa.table({"x": v})).repartition(3)
-    got = exact_quantile_select(ds, "x", (q,), n_buckets=64)[0]
+    got = exact_quantile_select(ds, "x", (q,))[0]
     s = np.sort(v)
     want = float(s[max(0, math.ceil(q * len(s)) - 1)])
     assert got == want
