@@ -1,12 +1,13 @@
-"""Tiny Ray runtime introspection helpers shared by the retry-aware stages.
+"""The retry identity of a batch, shared by the two retry-aware stages.
 
-The retry-replay machinery (BloomMarkStage cache keys, SketchTail part-file
-names) needs to know not just *which* task a batch belongs to but *which
-attempt* of that task: a retried task can re-execute in a still-alive worker
-process, where any per-worker ordinal bookkeeping from the first attempt
-survives. Keying bookkeeping by (task_id, attempt) — and resetting ordinals
-when a task id re-enters under a new attempt — restores the invariant that
-(task_id, ordinal) identifies a physical batch across retries.
+``BloomMarkStage`` keys its shard-cache entries and ``SketchTail`` names its
+part files by (task id, ordinal of the batch within the task), so a retried
+task replays the same keys and overwrites the same files. Ray Data ships a
+``map_batches`` callable with each task and deserializes it afresh there
+(measured on Ray 2.49.2 at 1 CPU: 16 map tasks ran in one worker process,
+with a fresh callable in every task), but a worker that keeps one for life is
+handled too: :class:`TaskBatches` restarts the ordinal whenever the
+(task id, attempt) pair changes.
 """
 
 from __future__ import annotations
@@ -33,3 +34,21 @@ def task_identity() -> tuple[str, int]:
     except Exception:
         attempt = 0
     return tid, attempt
+
+
+class TaskBatches:
+    """Numbers the batches a map callable sees within one task attempt."""
+
+    def __init__(self):
+        self._current = None
+        self._next = 0
+
+    def next(self) -> tuple[str, int, int]:
+        """(task_id, attempt, ordinal) of the batch being processed; the
+        ordinal restarts at 0 when the (task id, attempt) pair changes, so a
+        retry's batches get the ordinals of the attempt it replays."""
+        tid, attempt = task_identity()
+        if self._current != (tid, attempt):
+            self._current, self._next = (tid, attempt), 0
+        self._next += 1
+        return tid, attempt, self._next - 1

@@ -6,14 +6,14 @@ estimate, so the same pipeline code fans out proportionally wherever it runs
 
 from __future__ import annotations
 
-# ~256 MiB of shuffled input per join partition keeps a reducer's working
+# ~256 MiB of shuffled input per partition keeps a reducer's working
 # set comfortably inside a worker heap while amortizing per-partition task
 # overhead — the same order as Ray Data's default target block size.
 TARGET_PARTITION_BYTES = 256 << 20
-# partitions per cluster CPU, chosen when exact dedup ran as a Ray 2.49 hash
-# join whose aggregator actors reserved CPU beside the map tasks feeding
-# them; measured at 32 CPUs: 8p=3.4s, 16p=3.7s, 32p=5.1s for
-# dedup_exact_first over 16M turns
+# partitions per cluster CPU for exact dedup's fixed-boundary sort shuffle,
+# one reducer task and one whole table per partition; the value was measured
+# for the retired hash-join dedup (32 CPUs, 16M turns: 8p=3.4s, 16p=3.7s,
+# 32p=5.1s) and kept, not re-measured, when the sort replaced the join
 PARTITIONS_PER_CPU = 0.5
 # the floor keeps small test runs parallel enough to exercise the
 # multi-partition code paths; the cap bounds scheduler pressure on very

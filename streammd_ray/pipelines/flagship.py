@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .._runtime import TaskBatches
 from ..sketches import KLL, CountMinSketch, HyperLogLog, TDigest
 from ..sketches.base import Sketch
 from ..stages.dedup import (
@@ -37,8 +38,8 @@ from ..stages.dedup import (
     KEY_H2,
     MARK_COL,
     PREV_MARK_COL,
+    BloomMarkStage,
     add_key_columns,
-    make_mark_fn,
 )
 from ..stages.sketch_agg import (
     gather_partials,
@@ -92,16 +93,16 @@ class SketchTail:
     O(log n_batches).
 
     ``output_dir`` turns the tail into a streaming SINK as well: each block
-    is written to its own parquet part file (tmp + atomic rename, name
-    derived from the Ray task id so a task retry overwrites its own file
-    idempotently; zstd level 1, ``state.checkpoint.DISK_COMPRESSION``)
+    is written to its own parquet part file (tmp + atomic rename, named by
+    task id and batch ordinal, ``_runtime.TaskBatches``, so a task retry
+    rewrites its own files; zstd level 1, ``state.checkpoint.DISK_COMPRESSION``)
     BEFORE sketching — mark + sketch + persist in ONE pass
     with no whole-table materialization, the 100-TB-shaped write path."""
 
     def __init__(self, specs_bytes: bytes, *, output_dir: str | None = None):
         self.protos = pickle.loads(specs_bytes)
         self.output_dir = output_dir
-        self._ordinals: dict = {}
+        self._batches = TaskBatches()
 
     def _write_part(self, batch: pa.Table) -> None:
         import glob
@@ -109,28 +110,17 @@ class SketchTail:
 
         import pyarrow.parquet as pq
 
-        from .._runtime import task_identity
-
-        full_tid, attempt = task_identity()
+        full_tid, attempt, ordinal = self._batches.next()
         tid = full_tid[:16]
         os.makedirs(self.output_dir, exist_ok=True)
-        rec = self._ordinals.get(tid)
-        if rec is None or rec[0] != attempt:
-            # this task id (re-)enters at ordinal 0: a retry in a still-alive
-            # worker keeps the per-worker map, so reset the ordinal AND delete
-            # any stale part files the earlier attempt left behind — otherwise
-            # the retry's parts land BESIDE the originals and duplicate rows
-            rec = [attempt, 0]
-            if attempt > 0:
-                for stale in glob.glob(
-                    os.path.join(self.output_dir, f"part-{tid}-*.parquet")
-                ):
-                    try:
-                        os.remove(stale)
-                    except OSError:
-                        pass
-        ordinal = rec[1]
-        self._ordinals[tid] = [attempt, ordinal + 1]
+        if attempt > 0 and ordinal == 0:
+            # a retry's first batch: delete every file an earlier attempt
+            # left, its ``.tmp`` too, or those rows land BESIDE the retry's
+            for stale in glob.glob(os.path.join(self.output_dir, f"part-{tid}-*")):
+                try:
+                    os.remove(stale)
+                except OSError:
+                    pass
         path = os.path.join(self.output_dir, f"part-{tid}-{ordinal:05d}.parquet")
         tmp = path + ".tmp"
         pq.write_table(batch, tmp, **DISK_COMPRESSION)
@@ -285,19 +275,19 @@ def run_flagship(
         i = t.schema.get_field_index(MARK_COL)
         return t.set_column(i, MARK_COL, new).drop_columns([KEY_H1, KEY_H2])
 
-    # killed on every exit: map workers keep the mark closure's shard
+    # killed on every exit: map workers keep the mark stage's shard
     # handles alive, so spawned actors would outlive a pass that raised
     try:
-        # every stage is a plain function (stateless tasks; all Bloom state
-        # lives in the shard actors), so Ray fuses derive → mark → finish →
-        # tail into ONE task chain per block: no actor pool to spawn, no
-        # extra object-store hop for the marked blocks. batch_size=None on
-        # the tail → one partial per BLOCK, so the driver-side merge stays
-        # O(blocks), not O(rows/batch)
+        # every stage is a function or a callable instance (stateless tasks;
+        # all Bloom state lives in the shard actors), so Ray fuses derive →
+        # mark → finish → tail into ONE task chain per block: no actor pool
+        # to spawn, no extra object-store hop for the marked blocks.
+        # batch_size=None on the tail → one partial per BLOCK, so the
+        # driver-side merge stays O(blocks), not O(rows/batch)
         partials = (
             add_key_columns(ds, key_cols)
             .map_batches(
-                make_mark_fn(shards),
+                BloomMarkStage(shards),
                 batch_format="pyarrow",
                 zero_copy_batch=True,
                 batch_size=batch_size,

@@ -157,11 +157,11 @@ def derive_transcripts(sf_dir: str):
 
     ds = partitioned_group_apply(ds, "user_id", per_partition)
 
-    # Task-based attach (plain function closing over the broadcast ref, the
-    # make_mark_fn pattern): fuses with the upstream stage — no actor pool
-    # to spawn per derivation, no extra object-store hop. The text array is
-    # ray.get'd ONCE PER WORKER PROCESS (cached in the closure's holder,
-    # zero-copy from the object store), never re-shipped per batch.
+    # Task-based attach (plain function closing over the broadcast ref):
+    # fuses with the upstream stage — no actor pool to spawn per derivation,
+    # no extra object-store hop. Ray Data deserializes the function in each
+    # task, so the text array is ray.get'd once per TASK (cached in the
+    # closure's holder, zero-copy from the object store), not per batch.
     holder: dict = {}
 
     def attach_text(batch: pd.DataFrame) -> pa.Table:

@@ -40,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .._runtime import TaskBatches
 from ..hashing import hash_pair_batch
 from ..state.shards import (  # noqa: F401 — re-exported engine surface
     _BloomShard,
@@ -114,38 +115,25 @@ class BloomMarkStage:
     gather was_new verdicts, append ``is_duplicate``.
 
     The per-batch work is one numpy argsort-free bucketing + P concurrent
-    actor RPCs; actor handles are constructor args so the routing table is
-    built once per map worker, not per batch.
+    actor RPCs. ``run_flagship`` passes an instance, not the class, so Ray
+    Data runs it as a plain stateless task that fuses with the stages around
+    it (read → derive → mark → finish → tail become ONE task chain, with no
+    actor pool to spawn). A batch that already carries ``MARK_COL`` keeps
+    it as ``PREV_MARK_COL``, decided per batch, so no schema probe has to
+    run the plan first.
     """
 
     def __init__(self, shards):
         self.shards = shards
         self.P = len(shards)
-        # batch ordinal per physical Ray task ATTEMPT: a retried task re-runs
-        # under the SAME task id (possibly in the same still-alive worker
-        # process), so ordinals are reset whenever a task id re-enters under a
-        # new attempt number — (task_id, ordinal) then identifies a physical
-        # batch across retries (the retry's first batch gets ordinal 0 again
-        # and HITS the shard cache) while distinguishing genuinely distinct
-        # batches with identical content
-        self._task_ordinals: dict[str, list] = {}  # tid -> [attempt, next_ordinal]
+        self._batches = TaskBatches()
 
     def _batch_key(self, h1_slice: np.ndarray) -> bytes:
-        from .._runtime import task_identity
-
-        tid, attempt = task_identity()
-        rec = self._task_ordinals.get(tid)
-        if rec is None or rec[0] != attempt:
-            rec = [attempt, 0]  # first batch of this task / of a retry
-        ordinal = rec[1]
-        self._task_ordinals[tid] = [attempt, ordinal + 1]
-        if len(self._task_ordinals) > 4096:  # bounded; never evict the live task
-            for k in self._task_ordinals:
-                if k != tid:
-                    del self._task_ordinals[k]
-                    break
-        # the key deliberately EXCLUDES the attempt number: a retry must
-        # produce the same key as the original so it replays from the cache
+        # (task id, ordinal) identifies a physical batch across retries: a
+        # retry's batches get the original's ordinals and HIT the shard
+        # cache, while distinct batches with identical content do not. The
+        # key deliberately EXCLUDES the attempt number for that reason
+        tid, _, ordinal = self._batches.next()
         h = hashlib.blake2b(digest_size=16)
         h.update(tid.encode())
         h.update(ordinal.to_bytes(8, "big"))
@@ -155,6 +143,10 @@ class BloomMarkStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
 
+        if MARK_COL in batch.column_names:
+            batch = batch.rename_columns(
+                [PREV_MARK_COL if c == MARK_COL else c for c in batch.column_names]
+            )
         h1 = np.asarray(batch[KEY_H1].combine_chunks(), dtype=np.int64).view(np.uint64)
         h2 = np.asarray(batch[KEY_H2].combine_chunks(), dtype=np.int64).view(np.uint64)
         n = len(h1)
@@ -180,31 +172,6 @@ class BloomMarkStage:
             for rows, was_new in zip(spans, ray.get(futures)):
                 is_dup[rows] = ~was_new
         return batch.append_column(MARK_COL, pa.array(is_dup))
-
-
-def make_mark_fn(shards):
-    """Task-based marking: a plain FUNCTION closing over the shard handles,
-    so Ray Data runs it as stateless tasks that FUSE with the surrounding
-    map_batches stages (read → derive → mark → finish → tail become ONE
-    task chain — no actor pool to spawn, no extra object-store hop). The
-    closure is deserialized once per worker process and the stage instance
-    (with its per-task ordinal bookkeeping) persists there, so a retried
-    task replays its batches from the shard cache. A batch that already
-    carries ``MARK_COL`` keeps it as ``PREV_MARK_COL``, decided per batch,
-    so no schema probe has to run the plan first."""
-    holder: dict = {}
-
-    def mark_fn(batch: pa.Table) -> pa.Table:
-        stage = holder.get("stage")
-        if stage is None:
-            stage = holder["stage"] = BloomMarkStage(shards)
-        if MARK_COL in batch.column_names:
-            batch = batch.rename_columns(
-                [PREV_MARK_COL if c == MARK_COL else c for c in batch.column_names]
-            )
-        return stage(batch)
-
-    return mark_fn
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@
 inserts one Arrow batch and serializes the result — one (sketch, state) row
 per sketch. It is the only inserter in the engine: the flagship's
 ``SketchTail`` and the scan of :func:`run_sketches` / :func:`sketch_column`
-(the catalog's estimate rows and the CLI's HLL) both call it, so the oracle
-rows check the flagship's own insert code. :func:`tree_merge` folds the partials in Ray tasks fanning in
-``MERGE_FANIN`` at a time: per-block state is a few KB–MB, nothing
-materializes the dataset, and the reduction is O(log P) deep whatever the
-partition count or order (merge associativity, north_rule).
+(the catalog's estimate rows) both call it, so the oracle rows check the
+flagship's own insert code. :func:`tree_merge` folds the partials in Ray
+tasks fanning in ``MERGE_FANIN`` at a time: per-block state is a few KB–MB,
+nothing materializes the dataset, and the reduction is O(log P) deep
+whatever the partition count or order (merge associativity, north_rule).
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
 def run_sketches(ds, specs: dict[str, tuple[str, Sketch]]) -> dict[str, Sketch]:
     """One scan, many sketches: ``specs`` maps output name → (column, sketch
     prototype). Each batch runs :func:`sketch_partials` in a plain function
-    (stateless tasks that fuse with the upstream stages, the
-    ``make_mark_fn`` pattern) — the five-sketch single pass of SURVEY.md §7.1
+    (stateless tasks that fuse with the upstream stages, as the flagship's
+    mark and tail stages do) — the five-sketch single pass of SURVEY.md §7.1
     step 3 — and the driver tree-merges the partials."""
 
     def scan(batch: pa.Table) -> pa.Table:

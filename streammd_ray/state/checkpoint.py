@@ -242,7 +242,7 @@ def run_flagship_checkpointed(
     )
     todo = [i for i in range(len(waves)) if i not in done]
     # spawned only when a wave is left to run; killed on every exit: map
-    # workers keep the mark closure's shard handles alive, so the actors
+    # workers keep the mark stage's shard handles alive, so the actors
     # would outlive a wave that raised
     shards = (
         make_shard_actors(

@@ -49,8 +49,7 @@ def test_shard_load_drops_replay_cache():
 def test_mark_stage_batch_key_distinguishes_ordinals():
     from streammd_ray.stages.dedup import BloomMarkStage
 
-    stage = BloomMarkStage.__new__(BloomMarkStage)
-    stage._task_ordinals = {}
+    stage = BloomMarkStage([])
     h = np.array([1, 2, 3], dtype=np.uint64)
     k1 = stage._batch_key(h)
     k2 = stage._batch_key(h)  # same content, next ordinal in the same task
@@ -143,8 +142,7 @@ def test_mark_stage_retry_resets_ordinal(monkeypatch):
     import streammd_ray.stages.dedup as dd
     from streammd_ray.stages.dedup import BloomMarkStage
 
-    stage = BloomMarkStage.__new__(BloomMarkStage)
-    stage._task_ordinals = {}
+    stage = BloomMarkStage([])
     h = np.array([1, 2, 3], dtype=np.uint64)
 
     ident = {"v": ("task-X", 0)}
@@ -189,6 +187,33 @@ def test_sketch_tail_retry_overwrites_parts(monkeypatch, tmp_path):
     names1 = sorted(p.name for p in tmp_path.glob("*.parquet"))
     # stale attempt-0 parts were removed; only the retry's ordinal-0 remains
     assert names1 == [names0[0]]
+
+
+def test_sketch_tail_retry_sweeps_stale_tmp_part(monkeypatch, tmp_path):
+    """An attempt that dies between writing a part's ``.tmp`` and renaming
+    it leaves the ``.tmp`` behind; the retry must delete it too, or the wave
+    commits it and a parquet read counts its rows as data."""
+    import pickle
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from streammd_ray.pipelines.flagship import SketchTail
+
+    tail = SketchTail(pickle.dumps({}), output_dir=str(tmp_path))
+    batch = pa.table({"text": ["a", "b"], "is_duplicate": [False, True]})
+
+    ident = {"v": ("t" * 20, 0)}
+    monkeypatch.setattr("streammd_ray._runtime.task_identity", lambda: ident["v"])
+    tail(batch)  # attempt 0 commits ordinal 0, then dies writing ordinal 1
+    pq.write_table(batch, str(tmp_path / f"part-{'t' * 16}-00001.parquet.tmp"))
+
+    ident["v"] = ("t" * 20, 1)
+    tail(batch)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"part-{'t' * 16}-00000.parquet"
+    ]
+    assert pq.ParquetDataset(str(tmp_path)).read().num_rows == 2
 
 
 def test_quantiles_int64_exact_above_2_53(ray_session):
