@@ -34,7 +34,7 @@ def entry() -> Any:
     out = tempfile.mkdtemp(prefix="streammd-entry-")
     try:
         ds = derive_transcripts("/root/testdata/sf0.001")
-        run_flagship(ds, p=1e-9, mem=None, num_shards=4, output_dir=out)
+        run_flagship(ds, p=1e-9, mem="1MiB", num_shards=4, output_dir=out)
         return rd.read_parquet(out).materialize()
     finally:
         shutil.rmtree(out, ignore_errors=True)

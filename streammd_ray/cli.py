@@ -40,6 +40,8 @@ import shutil
 import sys
 import tempfile
 
+from .sketches.bloom import DEFAULT_FPR, DEFAULT_MEM
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -48,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--input", required=False, help="input parquet file/dir/glob")
     ap.add_argument("--output", required=False, help="output parquet dir")
-    ap.add_argument("-p", "--fp-rate", type=float, default=1e-6)
-    ap.add_argument("-m", "--mem", default="4GiB")
+    ap.add_argument("-p", "--fp-rate", type=float, default=DEFAULT_FPR)
+    ap.add_argument("-m", "--mem", default=DEFAULT_MEM)
     ap.add_argument("--allow-overcapacity", action="store_true")
     ap.add_argument("--metrics", default="streammd-metrics.json")
     ap.add_argument("--remove-duplicates", action="store_true")
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--bloom-layout",
         choices=("classic", "split"),
-        default=None,
+        default="classic",
         help="Bloom probe geometry: classic = reference double-hashing "
         "(default); split = one bit per 64-bit lane of one cache line "
         "(fastest kernel, structural k=8). split trades a documented FPR "

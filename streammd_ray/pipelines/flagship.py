@@ -191,7 +191,7 @@ def run_flagship(
     ds,
     *,
     p: float = 1e-6,
-    mem: str | None = "256MiB",
+    mem: str = "256MiB",
     num_shards: int = 8,
     batch_size: int | None = None,
     output_dir: str | None = None,
@@ -199,9 +199,8 @@ def run_flagship(
     shards: list | None = None,
     key_cols: tuple[str, ...] = ("text",),
     scope: str = "global",
-    total_capacity: int | None = None,
     strip_previous: bool = False,
-    bloom_layout: str | None = None,
+    bloom_layout: str = "classic",
 ) -> FlagshipResult:
     """One streaming pass: mark + sketches + counters (+ optional parquet
     persistence of the marked table, done INSIDE the same pass: the tail
@@ -217,8 +216,9 @@ def run_flagship(
     ``strip_previous``, which clears those not re-marked now.
 
     Shards: with ``shards=None`` the pass spawns ``num_shards`` of them
-    (sized by ``mem``, else ``total_capacity``, with ``bloom_layout``) and
-    kills them when it returns or raises. Shards a caller passes (the wave
+    (the ``mem`` budget split over them by ``state.shards.shard_geometry``,
+    probed in the ``"classic"`` or ``"split"`` ``bloom_layout``) and kills
+    them when it returns or raises. Shards a caller passes (the wave
     runner, perfbench) keep their state and stay alive; their layout was
     fixed at spawn, so ``bloom_layout`` is then ignored. Either way
     ``shard_stats`` holds their stats after the pass.
@@ -244,13 +244,7 @@ def run_flagship(
 
     owned = shards is None
     if owned:
-        shards = make_shard_actors(
-            num_shards,
-            p=p,
-            total_capacity=total_capacity,
-            mem=mem,
-            layout=bloom_layout,
-        )
+        shards = make_shard_actors(num_shards, p=p, mem=mem, layout=bloom_layout)
     packed = pickle.dumps(default_sketch_specs())
     tail_cls = _FirstSeenSinkTail if remove_duplicates else SketchTail
     trace = bool(os.environ.get("STREAMMD_TRACE"))
@@ -333,7 +327,6 @@ def run_flagship(
             "scope": scope,
             "p": p,
             "mem": mem,
-            "total_capacity": total_capacity,
             "num_shards": len(shards),
             "strip_previous": strip_previous,
         },

@@ -175,9 +175,12 @@ def q_dedup_bloom_metrics(sf_dir: str):
     probe layout (classic and split), so BOTH layouts carry a
     driver-recorded oracle row.
 
-    p=1e-9 so the expected false-positive count at validation scale is ~1e-5
-    — the aggregate counters then equal the exact-dedup counts and the query
-    is oracle-checkable despite the probabilistic engine underneath."""
+    A 1 MiB budget over 4 shards gives each a 2^21-bit filter; the
+    validation inputs hold at most ~5,000 distinct texts (~1,250 per shard),
+    so the expected false-positive count stays below 1e-8 (classic, k=10:
+    ~3e-19; split, k=8: ~9e-10) — the aggregate counters then equal the
+    exact-dedup counts and the query is oracle-checkable despite the
+    probabilistic engine underneath."""
     import pandas as pd
 
     from .flagship import run_flagship
@@ -192,7 +195,7 @@ def q_dedup_bloom_metrics(sf_dir: str):
         res = run_flagship(
             transcripts_ds(sf_dir),
             p=1e-9,
-            mem=None,
+            mem="1MiB",
             num_shards=4,
             bloom_layout=layout,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.dedup import MARK_COL
+from ..stages.dedup import MARK_COL, ORDER_COLS
 from .transcripts import TRANSCRIPTS_SCHEMA
 
 FORMATS = ("parquet", "jsonl", "csv")
@@ -99,8 +99,6 @@ def write_transcripts(
     *,
     fmt: str = "parquet",
     sort: bool = False,
-    sort_cols: tuple[str, ...] = ("conv_id", "turn_idx"),
-    **write_kwargs,
 ):
     """Write the transcripts table; ``sort=True`` enforces the input_hint's
     stable (conv_id, turn_idx) output ordering (SURVEY.md §4.2 — the
@@ -111,17 +109,15 @@ def write_transcripts(
     end-to-end by tests/test_ordering.py and the ``transcripts_sorted``
     oracle query."""
     if sort:
-        ds = ds.sort(list(sort_cols))
+        ds = ds.sort(list(ORDER_COLS))
     if fmt == "parquet":
-        ds.write_parquet(out_dir, **write_kwargs)
+        ds.write_parquet(out_dir)
     elif fmt == "jsonl":
         # default writer emits timestamps as epoch-seconds ints (sub-second
         # truncated); force ISO strings at microsecond precision
-        write_kwargs.setdefault("date_format", "iso")
-        write_kwargs.setdefault("date_unit", "us")
-        ds.write_json(out_dir, **write_kwargs)
+        ds.write_json(out_dir, date_format="iso", date_unit="us")
     elif fmt == "csv":
-        ds.write_csv(out_dir, **write_kwargs)
+        ds.write_csv(out_dir)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return out_dir

@@ -101,26 +101,27 @@ def gather_partials(partials) -> dict[str, list[bytes]]:
     return by_name
 
 
-def tree_merge(states: list[bytes], *, fanin: int = MERGE_FANIN) -> Sketch:
+def tree_merge(states: list[bytes]) -> Sketch:
     """Associative tree reduction of serialized sketch states via Ray tasks.
 
     Small lists fold on the driver; larger lists reduce in rounds of
-    ``fanin`` so no single process deserializes every partial.
+    ``MERGE_FANIN`` so no single process deserializes every partial.
     """
     import ray
 
     if not states:
         raise ValueError("tree_merge of no states")
-    if len(states) <= fanin:
+    if len(states) <= MERGE_FANIN:
         return merge_all([Sketch.from_bytes(s) for s in states])
 
     @ray.remote(num_cpus=1)
     def _fold(chunk: list[bytes]) -> bytes:
         return merge_all([Sketch.from_bytes(s) for s in chunk]).to_bytes()
 
-    while len(states) > fanin:
+    while len(states) > MERGE_FANIN:
         futures = [
-            _fold.remote(states[i : i + fanin]) for i in range(0, len(states), fanin)
+            _fold.remote(states[i : i + MERGE_FANIN])
+            for i in range(0, len(states), MERGE_FANIN)
         ]
         states = ray.get(futures)
     return merge_all([Sketch.from_bytes(s) for s in states])

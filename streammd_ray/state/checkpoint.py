@@ -150,13 +150,12 @@ def run_flagship_checkpointed(
     output_dir: str,
     wave_size: int = 8,
     p: float = 1e-6,
-    mem: str | None = "256MiB",
-    total_capacity: int | None = None,
+    mem: str = "256MiB",
     num_shards: int = 8,
     columns: list[str] | None = None,
     key_cols: tuple[str, ...] = ("text",),
     scope: str = "global",
-    bloom_layout: str | None = None,
+    bloom_layout: str = "classic",
     remove_duplicates: bool = False,
     allow_overcapacity: bool = False,
 ):
@@ -172,10 +171,12 @@ def run_flagship_checkpointed(
     ``key_cols``/``scope``/``remove_duplicates`` mean what they mean for
     ``run_flagship``; with ``remove_duplicates`` the part files hold only
     first-seen rows while counters and sketches still count every turn.
-    ``bloom_layout`` selects the shards' probe geometry: ``None`` (classic)
-    or ``"split"``. These four options, like the sizing, are pinned in the
-    manifest config: a resume with any of them changed raises
-    ``ValueError`` instead of mixing geometries or key specs.
+    The shards are sized as ``run_flagship`` sizes them: ``mem`` split over
+    ``num_shards``, probed in the ``"classic"`` (default) or ``"split"``
+    ``bloom_layout``. ``key_cols``, ``scope``, ``remove_duplicates`` and
+    ``bloom_layout``, like the sizing, are pinned in the manifest config: a
+    resume with any of them changed raises ``ValueError`` instead of mixing
+    geometries or key specs.
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``, and
     each wave's manifest entry records its ``overcapacity_shards`` count and
@@ -210,7 +211,6 @@ def run_flagship_checkpointed(
     config = {
         "p": p,
         "mem": mem,
-        "total_capacity": total_capacity,
         "num_shards": num_shards,
         "columns": columns,
         "key_cols": list(key_cols),
@@ -245,9 +245,7 @@ def run_flagship_checkpointed(
     # workers keep the mark stage's shard handles alive, so the actors
     # would outlive a wave that raised
     shards = (
-        make_shard_actors(
-            num_shards, p=p, total_capacity=total_capacity, mem=mem, layout=bloom_layout
-        )
+        make_shard_actors(num_shards, p=p, mem=mem, layout=bloom_layout)
         if todo
         else []
     )

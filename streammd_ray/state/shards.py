@@ -26,20 +26,19 @@ import functools
 import numpy as np
 
 from ..sketches.bloom import (
+    DEFAULT_FPR,
     DEFAULT_MEM_K,
     BloomFilter,
     SplitBlockBloomFilter,
     parse_memspec,
 )
 
-#: probe-layout registry (see _BloomShard.__init__ for the semantics)
+#: probe-layout registry (see _BloomShard for the semantics)
 BLOOM_LAYOUTS = {"classic": BloomFilter, "split": SplitBlockBloomFilter}
 
 
-def resolve_layout(layout: str | None):
-    """Map a layout name → filter class; ``None`` means classic."""
-    if layout is None:
-        return BloomFilter
+def resolve_layout(layout: str = "classic"):
+    """Map a layout name → filter class."""
     if layout not in BLOOM_LAYOUTS:
         raise ValueError(
             f"unknown bloom layout {layout!r}; one of {sorted(BLOOM_LAYOUTS)}"
@@ -47,13 +46,19 @@ def resolve_layout(layout: str | None):
     return BLOOM_LAYOUTS[layout]
 
 
-def shard_geometry(mem: str, num_shards: int, layout: str | None = None):
-    """Per-shard (m, k) of a ``mem`` budget split evenly over ``num_shards``:
-    m is the shard's share in bits rounded down to a power of two (pow2
-    addressing), k is 10 for the classic layout and the split layout's
-    structural 8."""
-    per_m = 8 * parse_memspec(mem) // num_shards
-    per_m = 1 << (per_m.bit_length() - 1)
+def shard_geometry(mem: str, num_shards: int, layout: str = "classic"):
+    """Per-shard (m, k) of a ``mem`` budget split evenly over ``num_shards``
+    — the one sizing rule of every Bloom shard (the reference sizes its one
+    filter from ``-m`` alone, SURVEY.md §2.4): m is the shard's share in bits
+    rounded down to a power of two (pow2 addressing), k is 10 for the classic
+    layout and the split layout's structural 8. A budget that leaves a shard
+    no bits is refused."""
+    bits = 8 * parse_memspec(mem)
+    if num_shards < 1 or bits < num_shards:
+        raise ValueError(
+            f"mem={mem!r} over num_shards={num_shards} leaves a shard no bits"
+        )
+    per_m = 1 << ((bits // num_shards).bit_length() - 1)
     if resolve_layout(layout) is SplitBlockBloomFilter:
         return per_m, SplitBlockBloomFilter.LANES
     return per_m, DEFAULT_MEM_K
@@ -61,33 +66,21 @@ def shard_geometry(mem: str, num_shards: int, layout: str | None = None):
 
 class _BloomShard:
     """One partition of the global Bloom filter + its running counters
-    (the counters mirror struct counts, /root/reference/src/markdups.h:33-36)."""
+    (they mirror the reference's struct counts, src/markdups.h:33-36).
 
-    def __init__(
-        self,
-        p: float,
-        capacity: int,
-        *,
-        m: int | None = None,
-        k: int | None = None,
-        layout: str | None = None,
-    ):
-        # layout: probe geometry of this shard's filter —
-        #   "classic" (default): k probes over the whole bitset, the
-        #     reference's layout (src/bloomfilter.cxx:104-120);
-        #   "split": split-block bit pattern (SplitBlockBloomFilter) — one
-        #     bit per 64-bit lane of one 64-byte line, structural k=8, the
-        #     fastest kernel (~30x classic-numpy with the native path).
-        # Each layout's stats() report its own honest marginal_fpr.
-        cls = resolve_layout(layout)
-        if cls is SplitBlockBloomFilter:
-            k = None  # structural k=8
-        if m is not None and k is not None:
-            self.bf = cls(p, m=m, k=k)
-        elif m is not None:
-            self.bf = cls(p, m=m)
-        else:
-            self.bf = cls(p, capacity)
+    ``m``/``k`` come from :func:`shard_geometry`. ``layout`` is the probe
+    geometry of the filter:
+
+    - ``"classic"`` (default): k probes over the whole bitset, the
+      reference's layout (src/bloomfilter.cxx:104-120);
+    - ``"split"``: split-block bit pattern (SplitBlockBloomFilter) — one bit
+      per 64-bit lane of one 64-byte line, structural k=8, the fastest
+      kernel (~30x classic-numpy with the native path).
+
+    Each layout's stats() report its own honest marginal_fpr."""
+
+    def __init__(self, p: float, *, m: int, k: int, layout: str = "classic"):
+        self.bf = resolve_layout(layout)(p, m=m, k=k)
         self.keys_seen = 0
         self.dups = 0
         # LRU: replayed (retried-task) lookups move their entry to the back,
@@ -165,19 +158,18 @@ def _shard_actor_class():
 def make_shard_actors(
     num_shards: int,
     *,
-    p: float = 1e-6,
-    total_capacity: int | None = None,
-    mem: str | None = None,
-    layout: str | None = None,
+    p: float = DEFAULT_FPR,
+    mem: str,
+    layout: str = "classic",
 ):
     """Create the P Bloom shard actors.
 
-    Sizing: the total memory/capacity budget is split evenly across shards
-    (:func:`shard_geometry` for a ``mem`` budget); keys route by
-    ``h1 mod P``, so shard i holds ~n/P keys and honors the configured FPR
-    p at its share (SURVEY.md §7.3 FPR accounting). P is fixed
-    for the run and recorded in lineage — state partition count must be
-    deterministic, never autoscaled.
+    Sizing: the ``mem`` budget is split evenly across shards
+    (:func:`shard_geometry`); keys route by ``h1 mod P``, so shard i holds
+    ~n/P keys, and ``p`` is the FPR its capacity report is checked against
+    (SURVEY.md §7.3 FPR accounting). P is fixed for the run and recorded in
+    lineage — state partition count must be deterministic, never
+    autoscaled.
 
     The shards reserve no CPU: they are short-burst RPC servers driven
     by the marking tasks, which hold the real CPU slots; a fractional
@@ -186,11 +178,5 @@ def make_shard_actors(
     pipeline until the actors are released).
     """
     Actor = _shard_actor_class()
-    kwargs: dict = {"layout": layout}
-    if mem is not None:
-        m, k = shard_geometry(mem, num_shards, layout)
-        kwargs.update(m=m, k=k)
-        cap = 0
-    else:
-        cap = max(1024, int((total_capacity or 1_000_000) / num_shards))
-    return [Actor.remote(p, cap, **kwargs) for _ in range(num_shards)]
+    m, k = shard_geometry(mem, num_shards, layout)
+    return [Actor.remote(p, m=m, k=k, layout=layout) for _ in range(num_shards)]

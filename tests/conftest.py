@@ -25,8 +25,10 @@ def ray_session():
 def flagship_marked(ray_session, tmp_path):
     """``run(ds, **kwargs)``: one ``run_flagship`` pass into a fresh
     part-file directory; returns the result and the marked rows read back
-    from the part files as pandas. The filters are sized by capacity
-    (``mem=None``) unless the call gives ``mem``."""
+    from the part files as pandas. The shards split a 1 MiB budget
+    (``shard_geometry``) unless the call gives ``mem``: a 2^18-bit filter or
+    more per shard at up to 8 shards, far beyond the tests' few thousand
+    keys per shard."""
     import itertools
 
     import pyarrow.parquet as pq
@@ -37,7 +39,7 @@ def flagship_marked(ray_session, tmp_path):
 
     def run(ds, **kwargs):
         out = str(tmp_path / f"marked-{next(runs)}")
-        res = run_flagship(ds, output_dir=out, **{"mem": None, **kwargs})
+        res = run_flagship(ds, output_dir=out, **{"mem": "1MiB", **kwargs})
         return res, pq.ParquetDataset(out).read().to_pandas()
 
     return run

@@ -10,7 +10,7 @@ def test_shard_distinct_identical_batches_both_insert():
     batch_key) replays the cached verdict."""
     from streammd_ray.stages.dedup import _BloomShard
 
-    sh = _BloomShard(1e-6, 10_000)
+    sh = _BloomShard(1e-6, m=2**18, k=10)
     h1 = np.array([11, 22, 33, 11], dtype=np.uint64)
     h2 = np.array([5, 6, 7, 5], dtype=np.uint64)
 
@@ -35,8 +35,8 @@ def test_shard_load_drops_replay_cache():
     filter, not return the verdict cached against the replaced one."""
     from streammd_ray.stages.dedup import _BloomShard
 
-    sh = _BloomShard(1e-6, 10_000)
-    empty = _BloomShard(1e-6, 10_000).state()
+    sh = _BloomShard(1e-6, m=2**18, k=10)
+    empty = _BloomShard(1e-6, m=2**18, k=10).state()
     h1 = np.array([11, 22], dtype=np.uint64)
     h2 = np.array([5, 6], dtype=np.uint64)
     assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]

@@ -207,23 +207,25 @@ def test_native_unavailable_falls_back(monkeypatch):
 
 
 def test_shard_actor_split_construction():
-    """_BloomShard(layout='split') builds the split layout through both the
-    (m, k) mem-spec path (k=10 is dropped — structural k=8) and the
-    capacity path; an unknown layout name is refused."""
-    from streammd_ray.stages.dedup import _BloomShard, resolve_layout
+    """_BloomShard(layout='split') builds the split layout from the (m, k)
+    of shard_geometry (structural k=8; any other k is refused); a layout is
+    named "classic" or "split" and nothing else."""
+    from streammd_ray.stages.dedup import _BloomShard, resolve_layout, shard_geometry
 
-    sh = _BloomShard(1e-6, 0, m=2**20, k=10, layout="split")
+    m, k = shard_geometry("128KiB", 1, "split")
+    sh = _BloomShard(1e-6, m=m, k=k, layout="split")
     assert isinstance(sh.bf, SplitBlockBloomFilter)
-    assert sh.bf.k == 8
+    assert (sh.bf.m, sh.bf.k) == (2**20, 8)
     h1, h2 = _rand_hashes(2_000, 11)
     assert sh.add(h1, h2).all()
     assert not sh.add(h1, h2).any()
-    sh2 = _BloomShard(1e-6, 10_000, layout="split")
-    assert isinstance(sh2.bf, SplitBlockBloomFilter)
-    assert resolve_layout(None) is BloomFilter
+    with pytest.raises(ValueError, match="structural k=8"):
+        _BloomShard(1e-6, m=2**20, k=10, layout="split")
+    assert resolve_layout() is resolve_layout("classic") is BloomFilter
     assert resolve_layout("split") is SplitBlockBloomFilter
-    with pytest.raises(ValueError, match="unknown bloom layout"):
-        resolve_layout("sbbf")
+    for name in ("sbbf", None):
+        with pytest.raises(ValueError, match="unknown bloom layout"):
+            resolve_layout(name)
 
 
 def test_shard_state_roundtrip_preserves_split_layout():
@@ -231,11 +233,11 @@ def test_shard_state_roundtrip_preserves_split_layout():
     and its populated bits (the wave-checkpoint resume path)."""
     from streammd_ray.stages.dedup import _BloomShard
 
-    sh = _BloomShard(1e-6, 0, m=2**20, k=10, layout="split")
+    sh = _BloomShard(1e-6, m=2**20, k=8, layout="split")
     h1, h2 = _rand_hashes(3_000, 40)
     assert sh.add(h1, h2).all()
     st = sh.stats()
-    sh2 = _BloomShard(1e-6, 0, m=2**20, k=10, layout="split")
+    sh2 = _BloomShard(1e-6, m=2**20, k=8, layout="split")
     sh2.load(sh.state(), keys_seen=st["keys_seen"], dups=st["dups"])
     assert isinstance(sh2.bf, SplitBlockBloomFilter)
     assert not sh2.add(h1, h2).any()
@@ -313,3 +315,38 @@ def test_checkpoint_resume_guards_layout(ray_session, tmp_path):
             num_shards=2,
             bloom_layout="classic",
         )
+
+
+def test_checkpoint_resume_default_layout_is_classic(ray_session, tmp_path):
+    """The classic layout has one name: a checkpoint written with
+    bloom_layout="classic" resumes under the default layout, returns the
+    same metrics and spawns no shard (every wave is already done)."""
+    import ray
+
+    from streammd_ray.sources import generate_transcripts
+    from streammd_ray.state import run_flagship_checkpointed
+
+    paths = generate_transcripts(
+        str(tmp_path / "gen"), n_turns=2_000, seed=35, dup_frac=0.2, n_files=2
+    )
+    run = dict(
+        ckpt_dir=str(tmp_path / "ckpt"),
+        output_dir=str(tmp_path / "out"),
+        wave_size=1,
+        p=1e-9,
+        mem="1MiB",
+        num_shards=2,
+    )
+
+    def shard_actors() -> set:
+        return {
+            aid
+            for aid, a in ray._private.state.actors().items()
+            if a["ActorClassName"] == "_BloomShard"
+        }
+
+    first, _ = run_flagship_checkpointed(paths, bloom_layout="classic", **run)
+    before = shard_actors()
+    again, _ = run_flagship_checkpointed(paths, **run)
+    assert again["metrics"] == first["metrics"]
+    assert shard_actors() == before

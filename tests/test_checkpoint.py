@@ -56,7 +56,7 @@ def test_full_run_and_metrics(ray_session, data, tmp_path):
     assert config["hasher"]
     assert config["num_shards"] == 4
     assert config["key_cols"] == ["text"] and config["scope"] == "global"
-    assert config["bloom_layout"] is None and config["remove_duplicates"] is False
+    assert config["bloom_layout"] == "classic" and config["remove_duplicates"] is False
     for w in manifest["waves"].values():
         assert w["status"] == "done" and w["files"]
 
@@ -188,7 +188,7 @@ def test_resume_refuses_format_1_manifest(tmp_path):
     assert json.loads((ckpt / "manifest.json").read_text()) == old
 
 
-@pytest.mark.parametrize("layout", [None, "split"])
+@pytest.mark.parametrize("layout", ["classic", "split"])
 def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout):
     """Each compressed ``shard-{j}.bloom`` decodes to a filter whose bits
     equal the live shard's ``state()``; restoring from them reloads it."""

@@ -227,7 +227,9 @@ def test_capacity_guard(ray_session):
         }
     )
     ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
-    res = run_flagship(ds, p=1e-3, mem=None, total_capacity=2048, num_shards=2)
+    # 4 KiB over 2 shards: 2^14 bits each, capacity ~1.1k keys at p=1e-3,
+    # against ~2.5k keys per shard
+    res = run_flagship(ds, p=1e-3, mem="4KiB", num_shards=2)
     with pytest.raises(CapacityExceeded):
         res.check_capacity()
     report = res.check_capacity(allow_overcapacity=True)
@@ -239,7 +241,7 @@ def test_shard_count_estimates(ray_session, fixture_table):
     # routing is h1 % P, so the shards own disjoint keys and the global
     # distinct estimate is the sum of the per-shard estimates
     path, truth = fixture_table
-    res = run_flagship(rd.read_parquet(path), p=1e-6, mem=None, num_shards=4)
+    res = run_flagship(rd.read_parquet(path), p=1e-6, mem="1MiB", num_shards=4)
     est = sum(s["count_estimate"] for s in res.shard_stats)
     true_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
     assert abs(est - true_distinct) / true_distinct < 0.02

@@ -123,9 +123,9 @@ def test_scope_divergence_conversation_vs_global(ray_session):
     assert not conv.any()
 
     # same divergence through the Bloom engine (count-level)
-    r_glob = run_flagship(_ds(df), p=1e-9, mem=None, num_shards=2)
+    r_glob = run_flagship(_ds(df), p=1e-9, mem="1MiB", num_shards=2)
     r_conv = run_flagship(
-        _ds(df), p=1e-9, mem=None, num_shards=2, scope="conversation"
+        _ds(df), p=1e-9, mem="1MiB", num_shards=2, scope="conversation"
     )
     assert r_glob.counters["dups"] == 1
     assert r_conv.counters["dups"] == 0
@@ -559,7 +559,7 @@ def test_megabyte_texts_split_across_blocks(ray_session):
     want = df.set_index(["conv_id", "turn_idx"])["want"]
     assert out.reindex(want.index).tolist() == want.tolist()
 
-    res = run_flagship(_ds(df).repartition(4), p=1e-9, mem=None, num_shards=2)
+    res = run_flagship(_ds(df).repartition(4), p=1e-9, mem="1MiB", num_shards=2)
     assert res.counters["dups"] == 2
 
 
@@ -573,7 +573,7 @@ def test_cross_shard_duplicate_placement(ray_session):
         rows.append((f"first-{i}", 0, f"shardkey-{i}", False))
         rows.append((f"second-{i}", 0, f"shardkey-{i}", True))
     df = _case(rows)
-    res = run_flagship(_ds(df), p=1e-9, mem=None, num_shards=8)
+    res = run_flagship(_ds(df), p=1e-9, mem="1MiB", num_shards=8)
     assert res.counters["dups"] == 64
     stats = res.shard_stats
     # all shards participated (64 hashed keys over 8 shards: the odds of an

@@ -4,6 +4,7 @@ HLL/CMS merge == whole-stream, quantile sketches bounded rank error under
 arbitrary splits."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from streammd_ray.sketches import KLL, BloomFilter, CountMinSketch, HyperLogLog, TDigest
@@ -109,6 +110,12 @@ def test_cli_show_capacity_math():
     assert info["bits_per_shard_pow2"] == 2**30  # 8 shards x 2^30 bits = 2^33 = 8*mem
     assert info["capacity_total"] == 8 * info["capacity_per_shard"]
     assert info["k"] == 10
+    # a budget that leaves a shard no bits is refused by name, not with a
+    # negative shift or a division by zero
+    for bad in (["-m", "0B"], ["--num-shards", "0"]):
+        args = build_parser().parse_args(["--show-capacity", *bad])
+        with pytest.raises(ValueError, match="mem=.* num_shards="):
+            show_capacity(args)
 
 
 def test_cli_show_capacity_follows_layout():

@@ -13,6 +13,7 @@ import ray.data as rd
 from streammd_ray.pipelines.flagship import SketchTail, default_sketch_specs
 from streammd_ray.sketches import KLL, CountMinSketch, HyperLogLog, TDigest
 from streammd_ray.stages import run_sketches, sketch_column, tree_merge
+from streammd_ray.stages.sketch_agg import MERGE_FANIN
 from streammd_ray.stages import sketch_agg
 from streammd_ray.stages.dedup import MARK_COL
 
@@ -70,13 +71,14 @@ def test_sketch_column_and_tree_merge(ray_session, table):
 
 
 def test_tree_merge_many_states(ray_session):
-    # more states than one fanin round → exercises the remote fold
+    # more states than one MERGE_FANIN round → exercises the remote fold
     parts = []
     for i in range(70):
         h = HyperLogLog()
         h.insert_batch(np.arange(i * 1000, (i + 1) * 1000).astype(str))
         parts.append(h.to_bytes())
-    merged = tree_merge(parts, fanin=8)
+    assert len(parts) > MERGE_FANIN
+    merged = tree_merge(parts)
     assert abs(merged.estimate() - 70_000) / 70_000 < 0.04
 
 
