@@ -9,8 +9,8 @@ agent transcripts, executed as ray.data.Dataset pipelines of map_batches over
 zero-copy Arrow batches, with the Bloom state in shard actors.
 
 Importing the package loads nothing heavy: ``sketches`` and ``state.shards``
-need only numpy (and polars once a column is hashed), so a Bloom shard
-process starts without Ray Data.
+need only numpy (and pyarrow once a column is hashed, by the engine's own
+MurmurHash3 kernel), so a Bloom shard process starts without Ray Data.
 """
 
 __version__ = "0.1.0"

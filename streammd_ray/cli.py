@@ -41,6 +41,7 @@ import sys
 import tempfile
 
 from .sketches.bloom import DEFAULT_FPR, DEFAULT_MEM
+from .state.shards import shard_geometry
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def show_capacity(args) -> dict:
     from .sketches.bloom import capacity, parse_memspec
-    from .state.shards import shard_geometry
 
     per_m, k = shard_geometry(args.mem, args.num_shards, args.bloom_layout)
     per_shard = capacity(args.fp_rate, per_m, k)
@@ -171,7 +171,12 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:  # a bad -m or --num-shards is a usage error, before Ray starts
+        shard_geometry(args.mem, args.num_shards, args.bloom_layout)
+    except ValueError as e:
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
 
     if args.show_capacity:
         print(json.dumps(show_capacity(args), indent=2))

@@ -1,4 +1,13 @@
-"""Optional C fast path for the Bloom probe kernels (ctypes + cc at runtime).
+"""Optional C fast path for the key hasher and the Bloom probe kernels
+(ctypes + cc at runtime).
+
+The hasher, ``murmur3_str32`` / ``murmur3_str64`` / ``murmur3_fixed``, is
+MurmurHash3_x64_128 (Austin Appleby, public domain) run once per value
+straight over an Arrow array's buffers: validity bitmap, int32 or int64
+offsets and value bytes, or a fixed-width value buffer. A null writes
+h1 = 0 and h2 = the golden-ratio constant; a zero h2 is replaced by the same
+constant. ``streammd_ray.hashing`` dispatches to it and keeps a numpy twin
+of the same function for hosts without a compiler.
 
 The numpy probe kernels in ``bloom.py`` are vectorized but pay for it in
 memory traffic: a (n, k) uint64 index matrix plus word/bit/present
@@ -20,16 +29,18 @@ with the system C compiler at first use and binds it via ctypes:
   stdlib);
 - compiled objects are cached under /tmp keyed by source hash, with an
   fcntl lock so 32 concurrent Ray workers compile once, not 32 times;
-- every caller falls back to the numpy kernel when no compiler is
-  available (``get_kernels()`` returns None) — behaviour is identical
-  except that the sequential loop implements the reference's EXACT
+- every caller falls back to numpy when no compiler is available
+  (``get_kernels()`` returns None): the hasher's twin gives identical
+  hashes, and the probe kernels behave identically except that the
+  sequential loop implements the reference's EXACT
   insert-one-at-a-time semantics (src/bloomfilter.cxx:35-45): a false
   positive caused by earlier keys of the same batch IS counted, where the
   batch kernel's gather-then-scatter order does not. At the engine's
   p=1e-6 geometry the difference is ~n·p per batch (≪ 1).
 
-Set STREAMMD_NO_NATIVE=1 to force the numpy path (used by the parity
-tests, and the escape hatch if a host's toolchain miscompiles).
+Set STREAMMD_NO_NATIVE=1 to force the numpy paths, hasher twin included
+(used by the parity tests, and the escape hatch if a host's toolchain
+miscompiles).
 """
 
 from __future__ import annotations
@@ -45,12 +56,89 @@ import numpy as np
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 static inline uint64_t fmix64(uint64_t x) {
     x ^= x >> 33; x *= 0xFF51AFD7ED558CCDULL;
     x ^= x >> 33; x *= 0xC4CEB9FE1A85EC53ULL;
     x ^= x >> 33;
     return x;
+}
+
+/* ---- MurmurHash3_x64_128 (Appleby, public domain), little-endian ---- */
+
+#define MM_C1 0x87C37B91114253D5ULL
+#define MM_C2 0x4CF5AD432745937FULL
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+static inline uint64_t rotl64(uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+}
+
+static inline uint64_t load64(const uint8_t *p) {
+    uint64_t v;
+    memcpy(&v, p, 8);  /* unaligned-safe; one mov on x86 */
+    return v;
+}
+
+static inline void murmur3_128(const uint8_t *data, int64_t len,
+                               uint64_t seed, uint64_t *o1, uint64_t *o2)
+{
+    const int64_t nblocks = len / 16;
+    uint64_t h1 = seed, h2 = seed, k1, k2;
+    for (int64_t i = 0; i < nblocks; i++) {
+        k1 = load64(data + 16 * i);
+        k2 = load64(data + 16 * i + 8);
+        k1 *= MM_C1; k1 = rotl64(k1, 31); k1 *= MM_C2; h1 ^= k1;
+        h1 = rotl64(h1, 27); h1 += h2; h1 = h1 * 5 + 0x52DCE729;
+        k2 *= MM_C2; k2 = rotl64(k2, 33); k2 *= MM_C1; h2 ^= k2;
+        h2 = rotl64(h2, 31); h2 += h1; h2 = h2 * 5 + 0x38495AB5;
+    }
+    const uint8_t *tail = data + 16 * nblocks;
+    const int t = (int)(len & 15);
+    k1 = 0; k2 = 0;
+    for (int j = t - 1; j >= 8; j--) k2 = (k2 << 8) | tail[j];
+    for (int j = (t < 8 ? t : 8) - 1; j >= 0; j--) k1 = (k1 << 8) | tail[j];
+    if (t > 8) { k2 *= MM_C2; k2 = rotl64(k2, 33); k2 *= MM_C1; h2 ^= k2; }
+    if (t > 0) { k1 *= MM_C1; k1 = rotl64(k1, 31); k1 *= MM_C2; h1 ^= k1; }
+    h1 ^= (uint64_t)len; h2 ^= (uint64_t)len;
+    h1 += h2; h2 += h1;
+    h1 = fmix64(h1); h2 = fmix64(h2);
+    h1 += h2; h2 += h1;
+    *o1 = h1;
+    *o2 = h2 ? h2 : GOLDEN;  /* double hashing needs h2 != 0 */
+}
+
+static inline int is_null(const uint8_t *valid, int64_t bit) {
+    return valid && !((valid[bit >> 3] >> (bit & 7)) & 1);
+}
+
+/* one (h1, h2) per value of an Arrow string/binary array: offsets point at
+   the array's first slot (its offset applied), valid is the whole bitmap
+   read from bit voff. Nulls give h1 = 0, the null-key mark. */
+#define MURMUR3_VAR(NAME, OFF_T)                                            \
+void NAME(const uint8_t *data, const OFF_T *offsets, const uint8_t *valid,  \
+          int64_t voff, int64_t n, uint64_t seed, uint64_t *h1,             \
+          uint64_t *h2)                                                     \
+{                                                                           \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        if (is_null(valid, voff + i)) { h1[i] = 0; h2[i] = GOLDEN; continue; } \
+        murmur3_128(data + offsets[i], (int64_t)(offsets[i + 1] - offsets[i]), \
+                    seed, &h1[i], &h2[i]);                                  \
+    }                                                                       \
+}
+MURMUR3_VAR(murmur3_str32, int32_t)
+MURMUR3_VAR(murmur3_str64, int64_t)
+
+/* fixed-width values: data points at the array's first value */
+void murmur3_fixed(const uint8_t *data, int64_t width, const uint8_t *valid,
+                   int64_t voff, int64_t n, uint64_t seed, uint64_t *h1,
+                   uint64_t *h2)
+{
+    for (int64_t i = 0; i < n; i++) {
+        if (is_null(valid, voff + i)) { h1[i] = 0; h2[i] = GOLDEN; continue; }
+        murmur3_128(data + i * width, width, seed, &h1[i], &h2[i]);
+    }
 }
 
 /* classic double-hashing layout: probe_j = (h1 + j*h2) mod m, k probes
@@ -127,7 +215,17 @@ _u64p = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _u64p_out = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS,WRITEABLE")
 _u8p_out = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
 
+_HASH_ARGS = [
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+    ctypes.c_int64, ctypes.c_uint64, _u64p_out, _u64p_out,
+]
+
 _SIGNATURES = {
+    "murmur3_str32": _HASH_ARGS,
+    "murmur3_str64": _HASH_ARGS,
+    "murmur3_fixed": [
+        ctypes.c_void_p, ctypes.c_int64, *_HASH_ARGS[2:],
+    ],
     "classic_tas": [
         _u64p_out, ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
         _u64p, _u64p, ctypes.c_int64, _u8p_out,
@@ -194,8 +292,8 @@ def get_kernels():
         _kernels = lib
     except Exception as exc:  # no cc, sandboxed /tmp, bad toolchain, ...
         print(
-            f"streammd_ray: native Bloom kernel unavailable ({exc!r}); "
-            "using the numpy probe path",
+            f"streammd_ray: native kernels unavailable ({exc!r}); "
+            "using the numpy hasher and probe paths",
             file=sys.stderr,
         )
         _kernels = None

@@ -15,7 +15,7 @@ behaviour only; this is a from-scratch numpy implementation):
 - Swamidass–Baldi cardinality estimate (src/bloomfilter.cxx:50-52).
 
 New vs the reference: ``add_batch`` (vectorized insert over a whole column) and
-``merge`` (bitwise OR of equal-(m,k,seeds) bit arrays) for partition-parallel
+``merge`` (bitwise OR of equal-(m,k,seed) bit arrays) for partition-parallel
 use. Batch-insert semantics: within one batch, only the first occurrence of a
 distinct key can be "new"; a key is also not-new if all k of its bits were set
 by prior batches. (This is at-least-as-accurate as sequential insertion: false
@@ -30,7 +30,7 @@ import re
 
 import numpy as np
 
-from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
+from ..hashing import HASHER_ID, SEED, hash_pair_batch, valid_mask
 from . import _native
 from .base import Sketch, require_writeable, state_array
 
@@ -92,7 +92,7 @@ class BloomFilter(Sketch):
         *,
         m: int | None = None,
         k: int | None = None,
-        seeds: tuple[int, int] = (SEED_A, SEED_B),
+        seed: int = SEED,
     ):
         """Either (p, n) → optimal (m, k), or (p, m=, k=) → inferred capacity."""
         if not (0.0 < p < 1.0):
@@ -108,7 +108,7 @@ class BloomFilter(Sketch):
             raise ValueError("need either n or (m and k)")
         if self.m <= 0 or self.k <= 0:
             raise ValueError(f"bad geometry m={self.m} k={self.k}")
-        self.seeds = tuple(seeds)
+        self.seed = int(seed)
         self.hasher = HASHER_ID
         # pow2 fast path: bitmask addressing instead of modulus (~5% in the
         # reference, src/streammd.cxx:48-55)
@@ -183,7 +183,7 @@ class BloomFilter(Sketch):
         # same hasher as the bulk path so scalar and batch views agree
         if not isinstance(item, str):
             item = item.decode("utf-8") if isinstance(item, bytes) else str(item)
-        return hash_pair_batch([item], *self.seeds)
+        return hash_pair_batch([item], self.seed)
 
     def add(self, item) -> bool:
         """Insert one item; returns False if it was (probably) already present
@@ -272,7 +272,7 @@ class BloomFilter(Sketch):
         never added to the filter (/root/reference/src/markdups.cxx:110-112).
         """
         valid = valid_mask(values)
-        h1, h2 = hash_pair_batch(values, *self.seeds)
+        h1, h2 = hash_pair_batch(values, self.seed)
         if valid is None:
             return self.add_hashed(h1, h2)
         out = np.zeros(len(h1), dtype=bool)
@@ -293,7 +293,7 @@ class BloomFilter(Sketch):
         return ((self._bits[word] & bit) != 0).all(axis=self._probe_axis)
 
     def contains_batch(self, values) -> np.ndarray:
-        h1, h2 = hash_pair_batch(values, *self.seeds)
+        h1, h2 = hash_pair_batch(values, self.seed)
         return self.contains_hashed(h1, h2)
 
     # --- summaries ------------------------------------------------------------
@@ -325,7 +325,7 @@ class BloomFilter(Sketch):
     # --- merge ----------------------------------------------------------------
 
     def _compat_key(self) -> tuple:
-        return (self.kind, self.m, self.k, self.seeds, self.hasher)
+        return (self.kind, self.m, self.k, self.seed, self.hasher)
 
     def merge(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR. Post-merge the filter answers global membership /
@@ -345,7 +345,7 @@ class BloomFilter(Sketch):
     # --- layout ---------------------------------------------------------------
 
     def _init_kwargs(self) -> dict:
-        return {"p": self.p, "m": self.m, "k": self.k, "seeds": list(self.seeds)}
+        return {"p": self.p, "m": self.m, "k": self.k, "seed": self.seed}
 
     def empty(self) -> "BloomFilter":
         out = super().empty()
@@ -443,7 +443,7 @@ class SplitBlockBloomFilter(BloomFilter):
         *,
         m: int | None = None,
         k: int | None = None,
-        seeds: tuple[int, int] = (SEED_A, SEED_B),
+        seed: int = SEED,
     ):
         if k not in (None, self.LANES):
             raise ValueError(
@@ -458,7 +458,7 @@ class SplitBlockBloomFilter(BloomFilter):
             m = math.ceil(
                 n * (8 / -math.log(1.0 - math.exp(math.log(p) / 8)))
             )
-        super().__init__(p, m=int(m), k=self.LANES, seeds=seeds)
+        super().__init__(p, m=int(m), k=self.LANES, seed=seed)
         self.n_blocks = (self.m + BLOCK_BITS - 1) // BLOCK_BITS
         self.m = self.n_blocks * BLOCK_BITS
         self._pow2 = (self.n_blocks & (self.n_blocks - 1)) == 0

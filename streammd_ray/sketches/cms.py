@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..hashing import HASHER_ID, SEED_A, SEED_B, hash_pair_batch, valid_mask
+from ..hashing import HASHER_ID, SEED, hash_pair_batch, valid_mask
 from .base import Sketch, SketchError, require_writeable, state_array
 
 
@@ -34,14 +34,14 @@ class CountMinSketch(Sketch):
         eps: float = 1e-4,
         delta: float = 1e-4,
         track_heavy: int = 0,
-        seeds: tuple[int, int] = (SEED_A, SEED_B),
+        seed: int = SEED,
     ):
         """eps/delta sizing: width = ceil(e/eps), depth = ceil(ln(1/delta))."""
         self.eps = float(eps)
         self.delta = float(delta)
         self.width = math.ceil(math.e / eps)
         self.depth = math.ceil(math.log(1.0 / delta))
-        self.seeds = tuple(seeds)
+        self.seed = int(seed)
         self.hasher = HASHER_ID
         self.counts = np.zeros((self.depth, self.width), dtype=np.int64)
         self.total = 0
@@ -58,7 +58,7 @@ class CountMinSketch(Sketch):
         """Add each value (optionally with per-value integer counts).
         Null values are skipped — they are not a frequency key."""
         require_writeable(self.counts, self.kind)
-        h1, h2 = hash_pair_batch(values, *self.seeds)
+        h1, h2 = hash_pair_batch(values, self.seed)
         if counts is None:
             w = np.ones(len(h1), dtype=np.int64)
         else:
@@ -94,12 +94,12 @@ class CountMinSketch(Sketch):
             self.heavy = dict(top[: 2 * self.track_heavy])
 
     def query(self, value) -> int:
-        h1, h2 = hash_pair_batch([value], *self.seeds)
+        h1, h2 = hash_pair_batch([value], self.seed)
         idx = self._indices(h1, h2)
         return int(self.counts[np.arange(self.depth), idx[:, 0]].min())
 
     def query_batch(self, values) -> np.ndarray:
-        h1, h2 = hash_pair_batch(values, *self.seeds)
+        h1, h2 = hash_pair_batch(values, self.seed)
         idx = self._indices(h1, h2)
         return self.counts[np.arange(self.depth)[:, None], idx].min(axis=0)
 
@@ -116,7 +116,7 @@ class CountMinSketch(Sketch):
         return {"total": self.total, "top": self.top_k()}
 
     def _compat_key(self) -> tuple:
-        return (self.kind, self.width, self.depth, self.seeds, self.hasher)
+        return (self.kind, self.width, self.depth, self.seed, self.hasher)
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
         self.check_compatible(other)
@@ -137,7 +137,7 @@ class CountMinSketch(Sketch):
             "eps": self.eps,
             "delta": self.delta,
             "track_heavy": self.track_heavy,
-            "seeds": list(self.seeds),
+            "seed": self.seed,
         }
 
     def _state(self):

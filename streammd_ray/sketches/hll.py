@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..hashing import HASHER_ID, SEED_A, hash64_batch, valid_mask
+from ..hashing import HASHER_ID, SEED, hash64_batch, valid_mask
 from .base import Sketch, require_writeable, state_array
 
 
@@ -27,7 +27,7 @@ class HyperLogLog(Sketch):
     #: (feed value_counts values without the counts)
     MULTIPLICITY_INSENSITIVE = True
 
-    def __init__(self, precision: int = 14, *, seed: int = SEED_A):
+    def __init__(self, precision: int = 14, *, seed: int = SEED):
         if not (4 <= precision <= 18):
             raise ValueError("precision must be in [4, 18]")
         self.p = precision

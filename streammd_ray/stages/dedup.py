@@ -95,11 +95,8 @@ def add_key_columns(ds, key_cols: tuple[str, ...] = ("text",)):
     def derive(batch: pa.Table) -> pa.Table:
         if {KEY_H1, KEY_H2} & set(batch.column_names):
             raise ValueError(f"input carries reserved columns {KEY_H1}/{KEY_H2}")
-        key = canonical_key(batch, key_cols)
-        h1, h2 = hash_pair_batch(key)
-        null_mask = np.asarray(pc.is_null(key))
-        h1 = h1.copy()
-        h1[null_mask] = 0
+        # a null key hashes to h1 = 0, the null mark the stages below read
+        h1, h2 = hash_pair_batch(canonical_key(batch, key_cols))
         # stored as int64 bit-patterns: Ray's hash-shuffle aggregations round-
         # trip int64 through Arrow cleanly, while uint64 > 2^63 falls back to
         # pickled Python objects (stages view back to uint64 for arithmetic)

@@ -45,7 +45,7 @@ def partitioned_group_apply(
     row of each key it receives, and no two partitions in one call."""
 
     def add_part(t: pa.Table) -> pa.Table:
-        h = hash64_batch(t[key].combine_chunks())
+        h = hash64_batch(t[key])
         part = (h % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column(PART_COL, pa.array(part, pa.int32()))
 

@@ -6,7 +6,7 @@ in a pure Python + numpy core with no Ray in it. A shard actor is that core
 behind an RPC boundary, so this module imports numpy and the filter classes
 (``..sketches.bloom``) and nothing else: a new shard process deserializes
 ``_BloomShard`` by reference and imports only this module, not Ray Data,
-pandas, polars or the engine's stages. ``make_shard_actors`` imports ``ray``
+pandas, pyarrow or the engine's stages. ``make_shard_actors`` imports ``ray``
 when it is called, in the driver.
 
 P shard actors each own 1/P of the global Bloom filter; every key is routed

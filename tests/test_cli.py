@@ -1,7 +1,8 @@
 """``cli.main`` in-process on the plain (non-checkpointed) branch, against
 generated transcripts with ground truth: the metrics JSON, the part-file
 layout, --remove-duplicates, --sort-output order, a JSONL round trip, the
-capacity guard, and how the CLI starts and stops Ray."""
+capacity guard, how the CLI starts and stops Ray, and a bad filter budget
+as a usage error."""
 
 import glob
 import json
@@ -191,3 +192,26 @@ def test_ray_init_honours_ray_address(monkeypatch, tmp_path, address):
         assert kwargs["address"] == "local" and kwargs["num_cpus"] == 3
     else:
         assert kwargs["address"] == address and "num_cpus" not in kwargs
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["-m", "4XB"], "bad memory spec: '4XB'"),
+        (["-m", "0B"], "mem='0B' over num_shards=8 leaves a shard no bits"),
+        (["--num-shards", "0"], "over num_shards=0 leaves a shard no bits"),
+    ],
+    ids=["bad-spec", "zero-budget", "zero-shards"],
+)
+def test_bad_filter_budget_is_a_usage_error(monkeypatch, capsys, flags, message):
+    """A filter budget that cannot size the shards ends the CLI with one
+    argparse-style error line and exit code 2, before Ray starts."""
+    import ray
+
+    monkeypatch.setattr(ray, "init", lambda **kw: pytest.fail("Ray started"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--show-capacity", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("streammd-ray: error: ")
+    assert message in err

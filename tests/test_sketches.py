@@ -290,7 +290,8 @@ def test_insert_refuses_read_only_state(ray_session, monkeypatch, kind, native):
     """A sketch read back from the object store is a read-only view;
     inserting into it must raise, and the stored copy must stay as put.
     (``ufunc.at`` and the native Bloom kernels ignore the read-only flag.)
-    HLL and CMS have no native path: both ids run the same numpy code."""
+    HLL and CMS update their state in numpy either way: the ids switch
+    only the hasher (C kernel or numpy twin)."""
     import ray
 
     from streammd_ray.sketches import _native
