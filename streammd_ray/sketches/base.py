@@ -30,6 +30,12 @@ all integers little-endian::
     per array  u8 length + name, u8 length + dtype str ("<u8"),
                u8 ndim, ndim x u64 shape, then the raw C-order bytes
 
+Each class names its arrays; a class may offer more than one form and
+decode them all. Count-min writes either its dense ``counts`` matrix or,
+when smaller, only the non-zero cells as ``nz_idx`` / ``nz_val``
+(``cms.py``); a dense state written before the sparse form existed still
+decodes.
+
 ``Sketch.from_bytes`` reads the kind, builds the class from the ``init``
 kwargs and hands it the scalar state and the arrays. Decoded arrays are
 owned copies, so a state read from a read-only buffer (a Ray object-store

@@ -5,12 +5,16 @@ Role in the engine: turn-length and latency quantiles over 10^12 turns.
 Centroids are kept sorted by mean; a centroid at quantile position q may hold
 at most the weight allowed by the k1 scale function
 k(q) = (δ/2π)·asin(2q−1), which concentrates resolution at the tails.
-Merge = concatenate centroid lists + recompress — associative within the
-published accuracy envelope (estimates from different merge orders agree to
-within the digest's quantile error, property-tested).
+Merge = append the other digest's centroids to the insert buffer, as
+weighted points — associative within the published accuracy envelope
+(estimates from different merge orders agree to within the digest's quantile
+error, property-tested).
 
-Implementation is numpy-vectorized: values are buffered per batch and folded
-into the centroid set with one sort + one greedy linear merge pass.
+Implementation is numpy-vectorized: inserted values and merged centroids are
+buffered and folded into the centroid set with one sort + one greedy linear
+pass, when the buffer reaches ``buffer_size`` or on read (``quantile``,
+``cdf``, ``to_bytes``). Centroids are only ever held compressed, so a fold of
+n partials compresses once, not once per merge.
 """
 
 from __future__ import annotations
@@ -75,16 +79,11 @@ class TDigest(Sketch):
             self._compress()
 
     def _compress(self) -> None:
-        if self._buf:
-            bm = np.concatenate([p[0] for p in self._buf])
-            bw = np.concatenate([p[1] for p in self._buf])
-            means = np.concatenate([self.means, bm])
-            weights = np.concatenate([self.weights, bw])
-            self._buf, self._buf_len = [], 0
-        else:
-            means, weights = self.means, self.weights
-        if means.size == 0:
+        if not self._buf:
             return
+        means = np.concatenate([self.means, *(p[0] for p in self._buf)])
+        weights = np.concatenate([self.weights, *(p[1] for p in self._buf)])
+        self._buf, self._buf_len = [], 0
         order = np.argsort(means, kind="stable")
         means, weights = means[order], weights[order]
         total = float(weights.sum())
@@ -169,12 +168,15 @@ class TDigest(Sketch):
 
     def merge(self, other: "TDigest") -> "TDigest":
         self.check_compatible(other)
-        other._compress()
-        self._compress()
+        parts = other._buf
         if other.means.size:
-            self.means = np.concatenate([self.means, other.means])
-            self.weights = np.concatenate([self.weights, other.weights])
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
+            parts = [np.stack([other.means, other.weights]), *parts]
+        if not parts:
+            return self
+        self._buf.extend(parts)
+        self._buf_len += sum(p.shape[1] for p in parts)
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        if self._buf_len >= self.buffer_size:
             self._compress()
         return self

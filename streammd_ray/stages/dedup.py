@@ -25,7 +25,8 @@ Three building blocks, one implementation each:
   and metrics are deterministic.
 
 - :func:`dedup_exact_first` — the exact, deterministic oracle path: one
-  hash-partition shuffle of the rows by key hash, then first-by-(conv_id,
+  fixed-boundary sort shuffle of the rows by key-hash partition
+  (``stages/windows.partitioned_group_apply``), then first-by-(conv_id,
   turn_idx) within each partition. O(n) shuffle; use at test scale and
   wherever row-identity determinism matters. This is the engine's analog
   of the exact-dedup oracle the reference is validated against (Picard
@@ -111,13 +112,14 @@ class BloomMarkStage:
     """map_batches callable: route each row's key hash to its shard actor,
     gather was_new verdicts, append ``is_duplicate``.
 
-    The per-batch work is one numpy argsort-free bucketing + P concurrent
-    actor RPCs. ``run_flagship`` passes an instance, not the class, so Ray
-    Data runs it as a plain stateless task that fuses with the stages around
-    it (read → derive → mark → finish → tail become ONE task chain, with no
-    actor pool to spawn). A batch that already carries ``MARK_COL`` keeps
-    it as ``PREV_MARK_COL``, decided per batch, so no schema probe has to
-    run the plan first.
+    The per-batch work is one stable bucketing by shard + P concurrent
+    actor RPCs, each of which returns its verdicts as packed bits
+    (``_BloomShard.add``). ``run_flagship`` passes an instance, not the
+    class, so Ray Data runs it as a plain stateless task that fuses with the
+    stages around it (read → derive → mark → finish → tail become ONE task
+    chain, with no actor pool to spawn). A batch that already carries
+    ``MARK_COL`` keeps it as ``PREV_MARK_COL``, decided per batch, so no
+    schema probe has to run the plan first.
     """
 
     def __init__(self, shards):
@@ -166,8 +168,8 @@ class BloomMarkStage:
                 bkey = bkey_prefix + s.to_bytes(4, "big")
                 futures.append(self.shards[s].add.remote(h1[rows], h2[rows], bkey))
                 spans.append(rows)
-            for rows, was_new in zip(spans, ray.get(futures)):
-                is_dup[rows] = ~was_new
+            for rows, packed in zip(spans, ray.get(futures)):
+                is_dup[rows] = ~np.unpackbits(packed, count=len(rows)).view(bool)
         return batch.append_column(MARK_COL, pa.array(is_dup))
 
 

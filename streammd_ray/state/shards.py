@@ -88,12 +88,14 @@ class _BloomShard:
         # — first, not a live task's entry in a long-lived worker
         self._cache: collections.OrderedDict = collections.OrderedDict()
 
+    #: replay-cache entries kept; each holds a packed reply (n/8 B)
     _CACHE_MAX = 4096
 
     def add(
         self, h1: np.ndarray, h2: np.ndarray, batch_key: bytes | None = None
     ) -> np.ndarray:
-        """Insert a routed slice; returns was_new.
+        """Insert a routed slice; returns ``np.packbits(was_new)``, a reply
+        1/8 the size of a bool array. The caller unpacks ``len(h1)`` bits.
 
         ``batch_key`` identifies the PHYSICAL batch: (Ray task id, batch
         ordinal within the task, slice content). A Ray task retry re-runs the
@@ -102,7 +104,8 @@ class _BloomShard:
         (SURVEY.md §7.3 "exactness under retries"). Two genuinely distinct
         batches with byte-identical content (e.g. a byte-copied input file)
         come from different tasks/ordinals and do NOT replay. The cache is
-        bounded, and a full re-execution of a marking plan is not a replay:
+        bounded (``_CACHE_MAX``, oldest entry evicted first), and a full
+        re-execution of a marking plan is not a replay:
         ``run_flagship`` executes its plan exactly once.
         """
         if batch_key is not None and batch_key in self._cache:
@@ -111,11 +114,12 @@ class _BloomShard:
         was_new = self.bf.add_hashed(h1, h2)
         self.keys_seen += len(h1)
         self.dups += int((~was_new).sum())
+        packed = np.packbits(was_new)
         if batch_key is not None:
             if len(self._cache) >= self._CACHE_MAX:
                 self._cache.popitem(last=False)
-            self._cache[batch_key] = was_new
-        return was_new
+            self._cache[batch_key] = packed
+        return packed
 
     def stats(self) -> dict:
         return {

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 
+def _add(sh, h1, h2, batch_key=None):
+    """``_BloomShard.add`` with its packed reply unpacked to was_new, as the
+    mark stage reads it."""
+    return np.unpackbits(sh.add(h1, h2, batch_key), count=len(h1)).view(bool)
+
+
 def test_shard_distinct_identical_batches_both_insert():
     """Two genuinely distinct batches with byte-identical content (e.g. a
     byte-copied input file) must BOTH insert — only a true task retry (same
@@ -14,17 +20,17 @@ def test_shard_distinct_identical_batches_both_insert():
     h1 = np.array([11, 22, 33, 11], dtype=np.uint64)
     h2 = np.array([5, 6, 7, 5], dtype=np.uint64)
 
-    first = sh.add(h1, h2, b"task-A:0")
+    first = _add(sh, h1, h2, b"task-A:0")
     assert first.tolist() == [True, True, True, False]
     # identical content, different physical batch -> all previously seen
-    second = sh.add(h1, h2, b"task-B:0")
+    second = _add(sh, h1, h2, b"task-B:0")
     assert second.tolist() == [False, False, False, False]
     assert sh.dups == 1 + 4
     assert sh.keys_seen == 8
 
     # true retry: same batch_key replays the original verdict, counters
     # unchanged
-    replay = sh.add(h1, h2, b"task-A:0")
+    replay = _add(sh, h1, h2, b"task-A:0")
     assert replay.tolist() == first.tolist()
     assert sh.dups == 5
     assert sh.keys_seen == 8
@@ -39,11 +45,36 @@ def test_shard_load_drops_replay_cache():
     empty = _BloomShard(1e-6, m=2**18, k=10).state()
     h1 = np.array([11, 22], dtype=np.uint64)
     h2 = np.array([5, 6], dtype=np.uint64)
-    assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]
+    assert _add(sh, h1, h2, b"task-A:0").tolist() == [True, True]
     sh.load(empty)
-    assert sh.add(h1, h2, b"task-A:0").tolist() == [True, True]
+    assert _add(sh, h1, h2, b"task-A:0").tolist() == [True, True]
     assert sh.keys_seen == 2
     assert sh.bf.contains_hashed(h1, h2).all()
+
+
+def test_shard_replay_cache_evicts_oldest_first(monkeypatch):
+    """The replay cache keeps ``_CACHE_MAX`` packed replies and evicts in
+    LRU order: a replay refreshes its entry, the coldest entry goes first,
+    and a replay of a cached batch returns its original verdicts with
+    counters unchanged."""
+    from streammd_ray.stages.dedup import _BloomShard
+
+    sh = _BloomShard(1e-6, m=2**18, k=10)
+    rng = np.random.default_rng(3)
+    batches = [rng.integers(1, 2**63, (2, 64), dtype=np.uint64) for _ in range(4)]
+    monkeypatch.setattr(sh, "_CACHE_MAX", 3)
+    first = [_add(sh, h1, h2, b"b%d" % i) for i, (h1, h2) in enumerate(batches[:3])]
+    assert list(sh._cache) == [b"b0", b"b1", b"b2"]
+    # the cache holds the packed replies: 64 verdicts in 8 bytes
+    assert all(v.nbytes == 8 for v in sh._cache.values())
+    # a replay within the cap returns the original verdicts, inserts nothing
+    assert _add(sh, *batches[0], b"b0").tolist() == first[0].tolist()
+    assert (sh.keys_seen, sh.dups) == (3 * 64, 0)
+    _add(sh, *batches[3], b"b3")  # over the cap: evicts b1, the coldest
+    assert list(sh._cache) == [b"b2", b"b0", b"b3"]
+    # the evicted batch is no longer a replay: it inserts again, all seen
+    assert not _add(sh, *batches[1], b"b1").any()
+    assert list(sh._cache) == [b"b0", b"b3", b"b1"]
 
 
 def test_mark_stage_batch_key_distinguishes_ordinals():

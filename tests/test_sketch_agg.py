@@ -119,6 +119,23 @@ def test_run_sketches_is_the_tail_path(ray_session, monkeypatch):
         assert scanned[name] == [tail_states[name]], name
 
 
+def test_tail_output_of_one_block_stays_inline(tmp_path):
+    """One 12,500-row block's partial rows (the flagship's four sketches)
+    fit under Ray's 100 KiB inline-object limit, so a tail task returns
+    them without the object store: count-min travels as its non-zero
+    cells."""
+    import pyarrow.parquet as pq
+
+    from streammd_ray.sources import generate_transcripts
+
+    (path,) = generate_transcripts(str(tmp_path), n_turns=12_500, n_files=1, seed=7)
+    batch = pq.read_table(path)
+    assert batch.num_rows == 12_500
+    batch = batch.append_column(MARK_COL, pa.array(np.zeros(batch.num_rows, bool)))
+    out = SketchTail(pickle.dumps(default_sketch_specs()))(batch)
+    assert out.nbytes < 100 * 1024
+
+
 def test_empty_copy_shares_no_array_with_its_prototype():
     """``sketch_partials`` inserts into ``proto.empty()``: same parameters,
     fresh writable state, no memory shared with the prototype (which may

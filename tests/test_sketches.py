@@ -187,6 +187,47 @@ def test_tdigest_merge_within_bound_any_order():
             assert abs(r - q) < 0.015, (order, q, r)
 
 
+def test_tdigest_merge_all_compresses_once(monkeypatch):
+    """Merging buffers the other digest's centroids: a fold of 8 decoded
+    partials compresses once, on read, stays within the merge accuracy
+    bound, and serializes no more centroids than one compress leaves."""
+    from streammd_ray.sketches.base import merge_all
+
+    rng = np.random.default_rng(8)
+    data = rng.lognormal(0, 1, 80_000)
+    parts = []
+    for chunk in np.array_split(data, 8):
+        t = TDigest(delta=200)
+        t.insert_batch(chunk)
+        parts.append(t.to_bytes())
+    decoded = [TDigest.from_bytes(p) for p in parts]
+    n_centroids = sum(t.means.size for t in decoded)
+    # one compress of every partial's centroids, the reference count
+    once = TDigest(delta=200)
+    once.insert_batch(
+        np.concatenate([t.means for t in decoded]),
+        np.concatenate([t.weights for t in decoded]),
+    )
+    once._compress()
+
+    calls = []
+    real = TDigest._compress
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(TDigest, "_compress", counting)
+    td = merge_all(decoded)
+    back = TDigest.from_bytes(td.to_bytes())
+    assert len(calls) == 1
+    assert back.means.size <= once.means.size < n_centroids
+    for q in (0.05, 0.5, 0.95):
+        r = (data <= td.quantile(q)).mean()
+        assert abs(r - q) < 0.015, (q, r)
+    assert back.total == td.total == data.size
+
+
 # ---------------- KLL ----------------
 
 
@@ -462,6 +503,102 @@ def test_layout_rejects_bad_input():
         Sketch.from_bytes(pickle.dumps(HyperLogLog(precision=8)))
     with pytest.raises(SketchError, match="expected KLL"):
         KLL.from_bytes(data)
+
+
+def _cms_arrays(data: bytes) -> dict:
+    from streammd_ray.sketches.base import _decode
+
+    return _decode(data)[2]
+
+
+#: a count-min state as written before the sparse form existed (dense
+#: ``counts``; eps=0.5, delta=0.2 → 2 x 6 cells; "a", "b", "a", "c")
+_DENSE_CMS_STATE = (
+    b'SMSK\x01\x00\x03cms\x94\x00\x00\x00{"init": {"eps": 0.5, "delta": 0.2, '
+    b'"track_heavy": 2, "seed": 43}, "hasher": "murmur3_x64_128", "total": 4, '
+    b'"heavy": [["a", 2], ["b", 1], ["c", 1]]}'
+    b'\x01\x00\x06counts\x03<i8\x02'
+    b'\x02\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00'
+    b'\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00'
+)
+
+
+def test_cms_state_is_sparse_when_smaller():
+    """A few keys in a wide table travel as their non-zero cells and decode
+    to the same matrix; a near-full table still travels dense."""
+    from streammd_ray.sketches import Sketch
+
+    for case in ("cms-str", "cms-int"):
+        sk = _LAYOUT_CASES[case]()
+        arrays = _cms_arrays(sk.to_bytes())
+        assert set(arrays) == {"nz_idx", "nz_val"}
+        assert arrays["nz_idx"].size == np.count_nonzero(sk.counts)
+    full = CountMinSketch(eps=1e-2, delta=1e-2)
+    full.insert_batch(np.arange(5_000).astype(str))
+    assert np.count_nonzero(full.counts) > full.counts.size // 2
+    data = full.to_bytes()
+    assert set(_cms_arrays(data)) == {"counts"}
+    assert np.array_equal(Sketch.from_bytes(data).counts, full.counts)
+
+
+def test_cms_dense_state_of_earlier_layout_decodes():
+    from streammd_ray.sketches import Sketch
+
+    cms = Sketch.from_bytes(_DENSE_CMS_STATE)
+    assert isinstance(cms, CountMinSketch)
+    assert cms.counts.tolist() == [[0, 1, 2, 0, 0, 1], [0, 0, 0, 3, 0, 1]]
+    assert cms.total == 4 and cms.heavy == {"a": 2, "b": 1, "c": 1}
+    assert cms.query("a") == 2
+
+
+@pytest.mark.parametrize(
+    "idx, val, match",
+    [
+        ([0, 3, 12], [1, 1, 1], "strictly increasing"),  # 12 = 2 x 6 cells
+        ([-1, 3], [1, 1], "strictly increasing"),
+        ([3, 1], [1, 1], "strictly increasing"),
+        ([1, 1], [1, 1], "strictly increasing"),
+        ([1, 3], [1], "nz_val"),
+        (np.array([1, 3], np.int32), [1, 1], "nz_idx"),
+        ([1, 3], np.array([1.0, 1.0]), "nz_val"),
+    ],
+    ids=["out-of-range", "negative", "unsorted", "repeated", "lengths", "idx-dtype", "val-dtype"],
+)
+def test_cms_corrupt_sparse_state_refused(idx, val, match):
+    from streammd_ray.sketches import Sketch, SketchError
+    from streammd_ray.sketches.base import _decode, _encode
+
+    kind, params, _ = _decode(_DENSE_CMS_STATE)
+    arrays = {
+        "nz_idx": np.asarray(idx, getattr(idx, "dtype", np.int64)),
+        "nz_val": np.asarray(val, getattr(val, "dtype", np.int64)),
+    }
+    with pytest.raises(SketchError, match=match):
+        Sketch.from_bytes(_encode(kind, params, arrays))
+
+
+def test_cms_sparse_and_dense_states_merge_as_dense():
+    from streammd_ray.sketches import Sketch
+
+    def filled(keys):
+        sk = CountMinSketch(eps=1e-2, delta=1e-2, track_heavy=4)
+        sk.insert_batch(keys)
+        return sk
+
+    few = np.array(["a", "b", "a", "c"] * 50)
+    many = np.arange(5_000).astype(str)
+    sparse, dense = filled(few).to_bytes(), filled(many).to_bytes()
+    assert set(_cms_arrays(sparse)) == {"nz_idx", "nz_val"}
+    assert set(_cms_arrays(dense)) == {"counts"}
+    want = filled(few).merge(filled(many))
+    for a, b in ((sparse, dense), (dense, sparse)):
+        got = Sketch.from_bytes(a).merge(Sketch.from_bytes(b))
+        assert _state_equal(got, want)
 
 
 def test_layout_refuses_unencodable_heavy_key():
