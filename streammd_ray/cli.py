@@ -8,8 +8,8 @@ streammd_ray.cli ...``: it connects to the cluster ``RAY_ADDRESS`` names
 A plain job is one ``run_flagship`` pass: one fused task per input file
 marks, sketches and writes a part file into a temporary directory beside
 ``--output``; the part files move into ``--output`` only once the capacity
-check passes. ``--sort-output`` or a non-parquet ``--output-format`` instead
-rewrites them in one more pass, which reads finished output and never marks.
+check passes. ``--sort-output`` instead rewrites them in one more pass, which
+reads finished output and never marks. Input and output are Parquet.
 
 Flags mapped (SURVEY.md §2.7):
   --input / --output        parquet in/out (no stdio mode)
@@ -20,13 +20,14 @@ Flags mapped (SURVEY.md §2.7):
   --remove-duplicates       drop marked rows from the output
   --show-capacity           print sizing and exit (planning path,
                             src/streammd.cxx:97-107 analog)
-  --single                  per-conversation dedup scope (the reference's
-                            reads-per-template switch analog)
+  --single                  per-conversation dedup: appends conv_id to
+                            --key-cols (the reference's reads-per-template
+                            switch analog)
   --strip-previous          clear pre-existing is_duplicate marks unless
                             re-marked
-New knobs: --num-shards, --checkpoint-dir (wave-resumable fused run; parquet
-in and out, arrival order, previous marks kept, so it refuses --sort-output,
---strip-previous, --input-format and --output-format other than parquet),
+New knobs: --sort-output, --num-shards, --key-cols, --bloom-layout,
+--num-cpus, --checkpoint-dir (wave-resumable fused run; arrival order,
+previous marks kept, so it refuses --sort-output and --strip-previous),
 --wave-size.
 """
 
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--metrics", default="streammd-metrics.json")
     ap.add_argument("--remove-duplicates", action="store_true")
     ap.add_argument("--show-capacity", action="store_true")
-    ap.add_argument("--single", action="store_true", help="per-conversation scope")
+    ap.add_argument("--single", action="store_true", help="append conv_id to --key-cols")
     ap.add_argument("--strip-previous", action="store_true")
     ap.add_argument(
         "--sort-output",
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per file, so this also sets the wave's parallelism",
     )
     ap.add_argument("--num-cpus", type=int, default=None)
-    ap.add_argument("--input-format", choices=("parquet", "jsonl", "csv"), default="parquet")
-    ap.add_argument("--output-format", choices=("parquet", "jsonl", "csv"), default="parquet")
     ap.add_argument(
         "--key-cols",
         default="text",
@@ -123,14 +122,12 @@ def _warn_overcapacity(over: int, max_fpr: float, args) -> None:
         )
 
 
-def _run_plain(args, paths, key_cols, scope) -> dict:
+def _run_plain(args, paths, key_cols) -> dict:
     """One fused mark + sketch + persist pass (see the module docstring)."""
     from .pipelines.flagship import run_flagship
     from .sources.io import read_transcripts, write_transcripts
 
-    ds = read_transcripts(
-        paths, fmt=args.input_format, override_num_blocks=len(paths)
-    )
+    ds = read_transcripts(paths, override_num_blocks=len(paths))
     out = os.path.abspath(args.output)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".streammd-", dir=os.path.dirname(out))
@@ -143,7 +140,6 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
             bloom_layout=args.bloom_layout,
             output_dir=tmp,
             key_cols=key_cols,
-            scope=scope,
             strip_previous=args.strip_previous,
             remove_duplicates=args.remove_duplicates,
         )
@@ -152,14 +148,13 @@ def _run_plain(args, paths, key_cols, scope) -> dict:
             report["overcapacity_shards"], report["max_marginal_fpr"], args
         )
         parts = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
-        if args.sort_output or args.output_format != "parquet":
+        if args.sort_output:
             import ray.data as rd
 
             write_transcripts(
                 rd.read_parquet(parts, override_num_blocks=len(parts)),
                 out,
-                fmt=args.output_format,
-                sort=args.sort_output,
+                sort=True,
             )
         else:
             os.makedirs(out, exist_ok=True)
@@ -192,16 +187,13 @@ def main(argv=None) -> int:
             for flag, given in (
                 ("--sort-output", args.sort_output),
                 ("--strip-previous", args.strip_previous),
-                ("--input-format", args.input_format != "parquet"),
-                ("--output-format", args.output_format != "parquet"),
             )
             if given
         ]
         if unsupported:
             print(
                 f"--checkpoint-dir cannot honour {', '.join(unsupported)}: "
-                "wave runs read and write parquet in arrival order and keep "
-                "previous marks",
+                "wave runs write in arrival order and keep previous marks",
                 file=sys.stderr,
             )
             return 2
@@ -223,13 +215,11 @@ def main(argv=None) -> int:
     try:
         paths = sorted(glob.glob(args.input)) or [args.input]
         if len(paths) == 1 and os.path.isdir(paths[0]):
-            ext = {"parquet": "*.parquet", "jsonl": "*.json*", "csv": "*.csv"}[
-                args.input_format
-            ]
-            paths = sorted(glob.glob(os.path.join(paths[0], ext))) or paths
+            paths = sorted(glob.glob(os.path.join(paths[0], "*.parquet"))) or paths
 
-        scope = "conversation" if args.single else "global"
         key_cols = tuple(c.strip() for c in args.key_cols.split(",") if c.strip())
+        if args.single and "conv_id" not in key_cols:
+            key_cols = (*key_cols, "conv_id")
 
         if args.checkpoint_dir:
             from .state.checkpoint import run_flagship_checkpointed
@@ -243,7 +233,6 @@ def main(argv=None) -> int:
                 mem=args.mem,
                 num_shards=args.num_shards,
                 key_cols=key_cols,
-                scope=scope,
                 bloom_layout=args.bloom_layout,
                 remove_duplicates=args.remove_duplicates,
                 allow_overcapacity=args.allow_overcapacity,
@@ -256,7 +245,7 @@ def main(argv=None) -> int:
             )
             metrics = manifest["metrics"]
         else:
-            metrics = _run_plain(args, paths, key_cols, scope)
+            metrics = _run_plain(args, paths, key_cols)
 
         with open(args.metrics, "w") as f:
             json.dump(metrics, f, indent=2)

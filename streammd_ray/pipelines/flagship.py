@@ -199,7 +199,6 @@ def run_flagship(
     remove_duplicates: bool = False,
     shards: list | None = None,
     key_cols: tuple[str, ...] = ("text",),
-    scope: str = "global",
     strip_previous: bool = False,
     bloom_layout: str = "classic",
 ) -> FlagshipResult:
@@ -210,9 +209,10 @@ def run_flagship(
     ``remove_duplicates=True`` the part files hold only first-seen rows;
     counters and sketches still count every turn.
 
-    scope='global' dedups on the content key alone (cross-conversation);
-    scope='conversation' appends conv_id to ``key_cols`` — the analog of the
-    reference's per-template grouping. An input that already carries
+    ``key_cols`` is the dedup key: the default ``("text",)`` dedups across
+    conversations; ``("text", "conv_id")`` dedups within each conversation,
+    the analog of the reference's per-template grouping (the CLI's
+    ``--single``). An input that already carries
     ``is_duplicate`` keeps its marks (OR-ed with the new ones) unless
     ``strip_previous``, which clears those not re-marked now.
 
@@ -236,12 +236,6 @@ def run_flagship(
     import time
 
     import ray
-
-    if scope == "conversation":
-        if "conv_id" not in key_cols:
-            key_cols = (*key_cols, "conv_id")
-    elif scope != "global":
-        raise ValueError(f"unknown scope: {scope}")
 
     owned = shards is None
     if owned:
@@ -325,7 +319,6 @@ def run_flagship(
         shard_stats=shard_stats,
         config={
             "key_cols": key_cols,
-            "scope": scope,
             "p": p,
             "mem": mem,
             "num_shards": len(shards),

@@ -13,7 +13,8 @@ Every sketch:
 - inserts whole columns at a time (``insert_batch``) — numpy/Arrow vectorized,
   never a Python loop per row in the hot path;
 - serializes to bytes (``to_bytes`` / ``from_bytes``) so states travel through
-  the Ray object store and checkpoint files;
+  the Ray object store and checkpoint files; a pickle of a sketch carries
+  the same bytes (``__reduce__``);
 - refuses to merge with an incompatible sibling (different sizing parameters
   or hash configuration) — mirroring that ORing two differently-sized Bloom
   bitsets is meaningless.
@@ -39,9 +40,9 @@ decodes.
 ``Sketch.from_bytes`` reads the kind, builds the class from the ``init``
 kwargs and hands it the scalar state and the arrays. Decoded arrays are
 owned copies, so a state read from a read-only buffer (a Ray object-store
-value) takes inserts and merges. The layout is uncompressed: it is what
-travels between processes; ``state/checkpoint.py`` compresses it where it
-reaches disk.
+value) takes inserts and merges; a sketch returned by ``ray.get`` is one
+such decode. The layout is uncompressed: it is what travels between
+processes; ``state/checkpoint.py`` compresses it where it reaches disk.
 """
 
 from __future__ import annotations
@@ -228,6 +229,11 @@ class Sketch(abc.ABC):
         scalars, arrays = self._state()
         return _encode(self.kind, {"init": self._init_kwargs(), **scalars}, arrays)
 
+    def __reduce__(self):
+        # pickle the layout, not the attributes: a count-min prototype's
+        # zero table then travels as its (empty) sparse form
+        return (Sketch.from_bytes, (self.to_bytes(),))
+
     @classmethod
     def from_bytes(cls, data) -> "Sketch":
         kind, params, arrays = _decode(data)
@@ -249,12 +255,11 @@ class Sketch(abc.ABC):
 def require_writeable(state, kind: str) -> None:
     """Refuse an in-place insert into read-only state. ``ufunc.at`` (numpy
     1.26) ignores the read-only flag, so without this check an insert into
-    a zero-copy view (a sketch returned by ``ray.get`` or captured in a
-    task closure) would write into the shared object-store copy."""
+    state that shares a read-only buffer would write into that buffer."""
     if not state.flags.writeable:
         raise ValueError(
-            f"{kind} state is read-only (a zero-copy view, e.g. of a Ray "
-            "object-store value); insert into a copy, not the stored sketch"
+            f"{kind} state is read-only (a zero-copy view of a shared "
+            "buffer); insert into a copy, not the shared state"
         )
 
 

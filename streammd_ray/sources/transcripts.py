@@ -104,10 +104,20 @@ def _doc_lookup(sf_dir: str) -> tuple[np.ndarray, int]:
     return texts, n
 
 
-def _read_parquet_clean(paths, **kwargs):
-    from .io import read_parquet_clean
+def read_parquet_clean(paths, **kwargs):
+    """read_parquet + strip schema metadata. Parquet written by pandas
+    carries a ``pandas`` schema-metadata entry that makes pyarrow Schemas
+    unhashable — Ray Data then logs "Failed to hash the schemas (for
+    deduplication)" on every block unification and falls back to the slow
+    unify path. Stripping at the read (a fused, zero-copy map) keeps every
+    downstream schema clean."""
+    import ray.data as rd
 
-    return read_parquet_clean(paths, **kwargs)
+    return rd.read_parquet(paths, **kwargs).map_batches(
+        lambda t: t.replace_schema_metadata(None),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
 
 
 def derive_transcripts(sf_dir: str):
@@ -124,7 +134,7 @@ def derive_transcripts(sf_dir: str):
     texts, ndocs = _doc_lookup(sf_dir)
     texts_ref = ray.put(texts)
 
-    ds = _read_parquet_clean(
+    ds = read_parquet_clean(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type"],
     )

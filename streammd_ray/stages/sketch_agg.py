@@ -69,8 +69,7 @@ def sketch_partials(
 
     states = {}
     for name, (col, proto) in protos.items():
-        # a fresh, writable copy: a prototype that travelled with a task
-        # closure holds read-only views of the object store
+        # fresh state per batch: the prototype itself stays empty
         sk = proto.empty()
         if sk.MULTIPLICITY_INSENSITIVE:
             sk.insert_batch(distinct_counts(col, sk.FLOAT_VALUES)[0])

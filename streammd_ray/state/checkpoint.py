@@ -154,7 +154,6 @@ def run_flagship_checkpointed(
     num_shards: int = 8,
     columns: list[str] | None = None,
     key_cols: tuple[str, ...] = ("text",),
-    scope: str = "global",
     bloom_layout: str = "classic",
     remove_duplicates: bool = False,
     allow_overcapacity: bool = False,
@@ -168,15 +167,16 @@ def run_flagship_checkpointed(
     reloads the shard snapshot, discards the in-flight wave's tmp output and
     continues.
 
-    ``key_cols``/``scope``/``remove_duplicates`` mean what they mean for
+    ``key_cols``/``remove_duplicates`` mean what they mean for
     ``run_flagship``; with ``remove_duplicates`` the part files hold only
     first-seen rows while counters and sketches still count every turn.
     The shards are sized as ``run_flagship`` sizes them: ``mem`` split over
     ``num_shards``, probed in the ``"classic"`` (default) or ``"split"``
-    ``bloom_layout``. ``key_cols``, ``scope``, ``remove_duplicates`` and
+    ``bloom_layout``. ``key_cols``, ``remove_duplicates`` and
     ``bloom_layout``, like the sizing, are pinned in the manifest config: a
     resume with any of them changed raises ``ValueError`` instead of mixing
-    geometries or key specs.
+    geometries or key specs (so does a manifest whose config still holds
+    the retired ``scope`` field).
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``, and
     each wave's manifest entry records its ``overcapacity_shards`` count and
@@ -214,7 +214,6 @@ def run_flagship_checkpointed(
         "num_shards": num_shards,
         "columns": columns,
         "key_cols": list(key_cols),
-        "scope": scope,
         "bloom_layout": bloom_layout,
         "remove_duplicates": remove_duplicates,
         "engine_version": __version__,
@@ -273,7 +272,6 @@ def run_flagship_checkpointed(
                 shards=shards,
                 output_dir=tmp_out,
                 key_cols=key_cols,
-                scope=scope,
                 remove_duplicates=remove_duplicates,
             )
             report = res.check_capacity(allow_overcapacity=allow_overcapacity)

@@ -55,7 +55,7 @@ def test_full_run_and_metrics(ray_session, data, tmp_path):
     config = manifest["config"]
     assert config["hasher"]
     assert config["num_shards"] == 4
-    assert config["key_cols"] == ["text"] and config["scope"] == "global"
+    assert config["key_cols"] == ["text"] and "scope" not in config
     assert config["bloom_layout"] == "classic" and config["remove_duplicates"] is False
     for w in manifest["waves"].values():
         assert w["status"] == "done" and w["files"]
@@ -153,8 +153,6 @@ def test_cli_checkpoint_dir(ray_session, data, tmp_path):
     [
         ["--sort-output"],
         ["--strip-previous"],
-        ["--input-format", "jsonl"],
-        ["--output-format", "csv"],
     ],
 )
 def test_cli_checkpoint_dir_rejects_unsupported_flags(tmp_path, capsys, flags):

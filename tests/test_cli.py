@@ -1,8 +1,8 @@
-"""``cli.main`` in-process on the plain (non-checkpointed) branch, against
-generated transcripts with ground truth: the metrics JSON, the part-file
-layout, --remove-duplicates, --sort-output order, a JSONL round trip, the
-capacity guard, how the CLI starts and stops Ray, and a bad filter budget
-as a usage error."""
+"""``cli.main`` in-process, mostly on the plain (non-checkpointed) branch,
+against generated transcripts with ground truth: the metrics JSON, the
+part-file layout, --remove-duplicates, --sort-output order, re-marking the
+CLI's own output, --single in both modes, the capacity guard, how the CLI
+starts and stops Ray, and bad flags as usage errors."""
 
 import glob
 import json
@@ -16,7 +16,6 @@ import pytest
 from streammd_ray import cli
 from streammd_ray.pipelines import CapacityExceeded
 from streammd_ray.sources import generate_transcripts
-from streammd_ray.sources.io import read_transcripts
 
 
 @pytest.fixture(scope="module")
@@ -96,25 +95,35 @@ def test_plain_run_sort_output_replays_global_order(ray_session, data, tmp_path)
     assert got_keys == want  # ORDER-sensitive comparison
 
 
-def test_plain_run_jsonl_round_trip(ray_session, data, tmp_path):
-    """JSONL output reads back to the input rows, and marking it again
-    (--strip-previous, so the first run's marks do not carry over) gives
-    the same metrics JSON."""
-    paths, truth = data
-    out, m = _run(paths, tmp_path, "--output-format", "jsonl")
-    files = sorted(glob.glob(os.path.join(out, "*.json*")))
-    cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    keys = ["conv_id", "turn_idx"]
-    back = read_transcripts(files, fmt="jsonl").to_pandas()
-    got = back[cols].sort_values(keys).reset_index(drop=True)
-    want = truth[cols].sort_values(keys).reset_index(drop=True)
-    assert got.equals(want.astype(got.dtypes.to_dict()))
-    assert int(back["is_duplicate"].sum()) == m["TURNS_MARKED_DUPLICATE"]
-
-    _, m2 = _run(
-        files, tmp_path, "--input-format", "jsonl", "--strip-previous", name="again"
-    )
+def test_plain_run_remarks_own_output(ray_session, data, tmp_path):
+    """Marking the CLI's own output again (--strip-previous, so the first
+    run's marks do not carry over) gives the same metrics JSON."""
+    paths, _ = data
+    out, m = _run(paths, tmp_path)
+    files = sorted(glob.glob(os.path.join(out, "*.parquet")))
+    _, m2 = _run(files, tmp_path, "--strip-previous", name="again")
     assert m2 == m
+
+
+@pytest.mark.parametrize("mode", ["plain", "checkpoint"])
+def test_single_appends_conv_id_to_key_cols(ray_session, data, tmp_path, mode):
+    """--single is --key-cols with conv_id appended, in both CLI modes: the
+    same metrics JSON as spelling the key out, for the default key and a
+    custom one."""
+    paths, truth = data
+
+    def run(name, *flags):
+        if mode == "checkpoint":
+            flags += ("--checkpoint-dir", str(tmp_path / f"{name}.ckpt"))
+        return _run(paths, tmp_path, *flags, name=name)[1]
+
+    single = run("single", "--single")
+    assert single == run("spelled", "--key-cols", "text,conv_id")
+    # within-conversation dups only: fewer than the global ground truth
+    assert single["TURNS_MARKED_DUPLICATE"] < int(truth["is_duplicate"].sum())
+    tool = run("single-tool", "--single", "--key-cols", "tool")
+    assert tool == run("spelled-tool", "--key-cols", "tool,conv_id")
+    assert tool != single
 
 
 @pytest.mark.parametrize("strip", [False, True])
@@ -215,3 +224,15 @@ def test_bad_filter_budget_is_a_usage_error(monkeypatch, capsys, flags, message)
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("streammd-ray: error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--input-format", "--output-format"])
+def test_format_flags_are_gone(monkeypatch, flag):
+    """Input and output are Parquet only: a format flag is an argparse
+    error (exit 2), before Ray starts."""
+    import ray
+
+    monkeypatch.setattr(ray, "init", lambda **kw: pytest.fail("Ray started"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--input", "in", "--output", "out", flag, "parquet"])
+    assert exc.value.code == 2

@@ -166,8 +166,8 @@ def test_strip_previous_semantics(flagship_marked):
 
 
 def test_scope_conversation(flagship_marked):
-    """Per-conversation scope: same text in two conversations is NOT a dup;
-    within one conversation it is."""
+    """Per-conversation key (text, conv_id): same text in two conversations
+    is NOT a dup; within one conversation it is."""
     import pyarrow as pa
 
     rows = pd.DataFrame(
@@ -181,16 +181,17 @@ def test_scope_conversation(flagship_marked):
         }
     )
     ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
-    _, marked = flagship_marked(ds, p=1e-9, num_shards=2, scope="conversation")
+    _, marked = flagship_marked(
+        ds, key_cols=("text", "conv_id"), p=1e-9, num_shards=2
+    )
     got = marked.sort_values(["conv_id", "turn_idx"])
     assert got["is_duplicate"].tolist() == [False, True, False, False]
 
 
 def test_scope_conversation_keeps_custom_key_cols(flagship_marked):
-    """scope='conversation' appends conv_id to the given key columns: with
-    key_cols=('tool',), two turns of one conversation calling the same tool
-    are duplicates whatever their text; the same tool in another
-    conversation is not."""
+    """With key_cols=('tool', 'conv_id'), two turns of one conversation
+    calling the same tool are duplicates whatever their text; the same tool
+    in another conversation is not."""
     import pyarrow as pa
 
     rows = pd.DataFrame(
@@ -205,7 +206,7 @@ def test_scope_conversation_keeps_custom_key_cols(flagship_marked):
     )
     ds = rd.from_arrow(pa.Table.from_pandas(rows, preserve_index=False))
     res, marked = flagship_marked(
-        ds, key_cols=("tool",), p=1e-9, num_shards=2, scope="conversation"
+        ds, key_cols=("tool", "conv_id"), p=1e-9, num_shards=2
     )
     got = marked.sort_values(["conv_id", "turn_idx"])
     assert res.config["key_cols"] == ("tool", "conv_id")

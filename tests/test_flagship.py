@@ -42,6 +42,20 @@ def test_flagship_counters_and_sketches(ray_session, data):
     m = out.metrics()
     assert m["TURNS"] == len(truth)
     assert m["TURNS_MARKED_DUPLICATE"] == int(truth["is_duplicate"].sum())
+    assert out.config["key_cols"] == ("text",) and "scope" not in out.config
+
+
+def test_key_cols_is_the_one_key_spec(tmp_path):
+    """Neither pass takes a ``scope`` keyword: a per-conversation key is
+    ``key_cols=("text", "conv_id")``."""
+    from streammd_ray.state.checkpoint import run_flagship_checkpointed
+
+    with pytest.raises(TypeError, match="scope"):
+        run_flagship(None, scope="conversation")
+    with pytest.raises(TypeError, match="scope"):
+        run_flagship_checkpointed(
+            [], ckpt_dir=str(tmp_path), output_dir=str(tmp_path), scope="global"
+        )
 
 
 def test_flagship_with_output_dir(ray_session, data, tmp_path):

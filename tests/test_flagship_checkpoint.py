@@ -195,7 +195,7 @@ def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
     run_flagship_checkpointed(wave_files, **run)
     for changed in (
         {"p": 1e-6},
-        {"scope": "conversation"},
+        {"key_cols": ("text", "conv_id")},
         {"key_cols": ("text", "tool")},
         {"remove_duplicates": True},
     ):

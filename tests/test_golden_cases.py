@@ -125,7 +125,7 @@ def test_scope_divergence_conversation_vs_global(ray_session):
     # same divergence through the Bloom engine (count-level)
     r_glob = run_flagship(_ds(df), p=1e-9, mem="1MiB", num_shards=2)
     r_conv = run_flagship(
-        _ds(df), p=1e-9, mem="1MiB", num_shards=2, scope="conversation"
+        _ds(df), p=1e-9, mem="1MiB", num_shards=2, key_cols=("text", "conv_id")
     )
     assert r_glob.counters["dups"] == 1
     assert r_conv.counters["dups"] == 0

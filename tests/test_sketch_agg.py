@@ -136,10 +136,21 @@ def test_tail_output_of_one_block_stays_inline(tmp_path):
     assert out.nbytes < 100 * 1024
 
 
+def test_prototype_pickle_carries_the_layout():
+    """The tail's prototypes pickle as their state layout
+    (``Sketch.__reduce__``), so count-min's zero table travels as its empty
+    sparse form: under 20 KB where the attribute pickle was ~170 KB."""
+    packed = pickle.dumps(default_sketch_specs())
+    assert len(packed) < 20_000
+    want = default_sketch_specs()
+    for name, (col, proto) in pickle.loads(packed).items():
+        assert col == want[name][0]
+        assert proto.to_bytes() == want[name][1].to_bytes()
+
+
 def test_empty_copy_shares_no_array_with_its_prototype():
     """``sketch_partials`` inserts into ``proto.empty()``: same parameters,
-    fresh writable state, no memory shared with the prototype (which may
-    be a read-only object-store view)."""
+    fresh writable state, no memory shared with the prototype."""
     from streammd_ray.sketches import BloomFilter, SplitBlockBloomFilter
 
     protos = [

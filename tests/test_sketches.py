@@ -2,7 +2,8 @@
 associativity under permuted partition orders (north_rule), with deterministic
 seeds — the pytest analog of the reference's hand-rolled statistical tests
 (/root/reference/tests/test_bloomfilter.cxx:83-148). Also: HLL, count-min and
-both Bloom layouts refuse an insert into read-only (object-store) state."""
+both Bloom layouts refuse an insert into read-only state, and a sketch comes
+back from the object store owned and writable."""
 
 import numpy as np
 import pytest
@@ -328,11 +329,12 @@ _STATES = {
 @pytest.mark.parametrize("native", [True, False], ids=["native", "numpy"])
 @pytest.mark.parametrize("kind", sorted(_STATES))
 def test_insert_refuses_read_only_state(ray_session, monkeypatch, kind, native):
-    """A sketch read back from the object store is a read-only view;
-    inserting into it must raise, and the stored copy must stay as put.
-    (``ufunc.at`` and the native Bloom kernels ignore the read-only flag.)
-    HLL and CMS update their state in numpy either way: the ids switch
-    only the hasher (C kernel or numpy twin)."""
+    """A sketch read back from the object store is its decoded state layout
+    (``Sketch.__reduce__``): owned, writable and state-identical. Inserting
+    into read-only state must raise and leave it as it was, and the stored
+    copy must stay as put. (``ufunc.at`` and the native Bloom kernels
+    ignore the read-only flag.) HLL and CMS update their state in numpy
+    either way: the ids switch only the hasher (C kernel or numpy twin)."""
     import ray
 
     from streammd_ray.sketches import _native
@@ -346,7 +348,9 @@ def test_insert_refuses_read_only_state(ray_session, monkeypatch, kind, native):
     sk.insert_batch([f"k{i}" for i in range(100)])
     ref = ray.put(sk)
     view = ray.get(ref)
-    assert not state_of(view).flags.writeable
+    assert state_of(view).flags.writeable
+    assert _state_equal(view, sk)
+    state_of(view).flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         view.insert_batch([f"new{i}" for i in range(1000)])
     if kind.startswith("bloom"):
@@ -355,6 +359,7 @@ def test_insert_refuses_read_only_state(ray_session, monkeypatch, kind, native):
             view.add_hashed(h, h)
         with pytest.raises(ValueError, match="read-only"):
             view.add("new-scalar")
+    assert np.array_equal(state_of(view), state_of(sk))
     assert np.array_equal(state_of(ray.get(ref)), state_of(sk))
 
 

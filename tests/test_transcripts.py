@@ -116,43 +116,3 @@ def test_duplicates_straddle_files(tmp_path):
         for j in range(i + 1, len(per_file_texts)):
             cross |= per_file_texts[i] & per_file_texts[j]
     assert len(cross) > 10  # duplicate keys span file boundaries
-
-
-def test_multi_format_roundtrip(ray_session, tmp_path):
-    import glob
-
-    import ray.data as rd
-
-    from streammd_ray.sources.io import read_transcripts, write_transcripts
-
-    src = str(tmp_path / "src")
-    generate_transcripts(src, n_turns=2000, seed=5, n_files=2)
-    base = rd.read_parquet(src)
-    want = (
-        base.to_pandas()
-        .sort_values(["conv_id", "turn_idx"])
-        .reset_index(drop=True)
-    )
-
-    for fmt in ("jsonl", "csv"):
-        out = str(tmp_path / fmt)
-        write_transcripts(rd.read_parquet(src), out, fmt=fmt)
-        assert glob.glob(out + "/*")
-        back = read_transcripts(out, fmt=fmt)
-        schema = back.schema()
-        assert schema.names == [f.name for f in TRANSCRIPTS_SCHEMA]
-        got = (
-            back.to_pandas()
-            .sort_values(["conv_id", "turn_idx"])
-            .reset_index(drop=True)
-        )
-        assert len(got) == len(want)
-        assert got["conv_id"].tolist() == want["conv_id"].tolist()
-        assert got["turn_idx"].tolist() == want["turn_idx"].tolist()
-        # text survives except CSV's empty-vs-null ambiguity (documented)
-        nn = want["text"].notna() & (want["text"] != "")
-        assert got.loc[nn, "text"].tolist() == want.loc[nn, "text"].tolist()
-        assert (
-            got["ts"].astype("datetime64[us]").tolist()
-            == want["ts"].astype("datetime64[us]").tolist()
-        )
