@@ -5,11 +5,13 @@ streammd_ray.cli ...``: it connects to the cluster ``RAY_ADDRESS`` names
 (``ray job submit`` sets it), else starts a local Ray (also for
 ``RAY_ADDRESS=local``), and shuts down only a Ray it started.
 
-A plain job is one ``run_flagship`` pass: one fused task per input file
-marks, sketches and writes a part file into a temporary directory beside
-``--output``; the part files move into ``--output`` only once the capacity
-check passes. ``--sort-output`` instead rewrites them in one more pass, which
-reads finished output and never marks. Input and output are Parquet.
+A plain job is one ``run_flagship`` pass over one engine read
+(``sources.parquet_files``): ``min(input files, cluster CPUs)`` fused
+tasks, each over a contiguous group of files, mark, sketch and write part
+files into a temporary directory beside ``--output``; the part files move
+into ``--output`` only once the capacity check passes. ``--sort-output``
+instead rewrites them in one more pass over the same read, which reads
+finished output and never marks. Input and output are Parquet.
 
 Flags mapped (SURVEY.md §2.7):
   --input / --output        parquet in/out (no stdio mode)
@@ -82,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wave-size",
         type=int,
         default=8,
-        help="input files per checkpointed wave; a wave runs one fused task "
-        "per file, so this also sets the wave's parallelism",
+        help="input files per checkpointed wave (the checkpoint "
+        "granularity); a wave runs one fused task per group of files, "
+        "min(wave files, cluster CPUs) groups",
     )
     ap.add_argument("--num-cpus", type=int, default=None)
     ap.add_argument(
@@ -126,8 +129,9 @@ def _run_plain(args, paths, key_cols) -> dict:
     """One fused mark + sketch + persist pass (see the module docstring)."""
     from .pipelines.flagship import run_flagship
     from .sources.io import read_transcripts, write_transcripts
+    from .sources.parquet_files import read_parquet_files
 
-    ds = read_transcripts(paths, override_num_blocks=len(paths))
+    ds = read_transcripts(paths)
     out = os.path.abspath(args.output)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".streammd-", dir=os.path.dirname(out))
@@ -149,13 +153,7 @@ def _run_plain(args, paths, key_cols) -> dict:
         )
         parts = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
         if args.sort_output:
-            import ray.data as rd
-
-            write_transcripts(
-                rd.read_parquet(parts, override_num_blocks=len(parts)),
-                out,
-                sort=True,
-            )
+            write_transcripts(read_parquet_files(parts), out, sort=True)
         else:
             os.makedirs(out, exist_ok=True)
             for part in parts:

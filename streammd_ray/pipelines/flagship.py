@@ -224,11 +224,12 @@ def run_flagship(
     fixed at spawn, so ``bloom_layout`` is then ignored. Either way
     ``shard_stats`` holds their stats after the pass.
 
-    The pass fuses into one task chain per read block only when the read
-    makes at most one block per file
-    (``read_parquet(files, override_num_blocks=len(files))``, as the
-    checkpointed runner and perfbench read). A default read of fewer files
-    than Ray's read parallelism splits each file through an unfused
+    The pass fuses with its read into one task chain per read task when
+    the read makes no more blocks than tasks. The engine read
+    (``sources.parquet_files``, as the CLI and the checkpointed runner
+    read) does: ``min(files, cluster CPUs)`` tasks, one block per task
+    below Ray's target block size. A default ``read_parquet`` of fewer
+    files than Ray's read parallelism splits each file through an unfused
     ``SplitBlocks`` stage, and every split then runs its own chain: its own
     task, shard RPCs, part file and partial rows."""
     import os

@@ -50,11 +50,12 @@ def transcripts_ds(sf_dir: str, *, columns: list[str] | None = None):
     transcripts then starts from a column-prunable parquet read instead of
     re-running the derivation's shuffle.
 
-    The read is a plain ``read_parquet``: the cache is written from
+    The read is a plain ``read_parquet``, not the engine's one read
+    (``sources.parquet_files``): the cache is written from
     ``TRANSCRIPTS_SCHEMA`` tables, which carry no pandas schema metadata to
-    strip, and a read with no map on top keeps its size estimate
-    (``infer_metadata().size_bytes``) for ``dedup_exact_first``'s
-    partition count."""
+    strip, and Ray's read with no map on top keeps its in-memory size
+    estimate (``infer_metadata().size_bytes``) for ``dedup_exact_first``'s
+    partition count, which the engine read does not make."""
     import os
     import shutil
 

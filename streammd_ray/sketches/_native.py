@@ -22,7 +22,8 @@ A sequential C loop has none of that: per key it computes the probe
 indices in registers, tests and sets bits in place, and prefetches the
 block of a key a fixed distance ahead so the one unavoidable DRAM miss per
 key (split layout) is overlapped. There is one kernel per layout:
-``classic_tas`` and ``split_tas``. This module compiles that loop
+``classic_tas`` and ``split_tas``; ``popcount_words`` counts a bitset's
+set bits for the filters' fill statistics. This module compiles that loop
 with the system C compiler at first use and binds it via ctypes:
 
 - no third-party packages (gcc/cc ship in the image; ctypes and hashlib are
@@ -203,6 +204,14 @@ void split_tas(uint64_t *bits, uint64_t n_blocks, int pow2,
         seen[i] = (uint8_t)all;
     }
 }
+
+/* set bits of a bitset: a filter's fill, read by every shard's stats() */
+uint64_t popcount_words(const uint64_t *words, int64_t n)
+{
+    uint64_t total = 0;
+    for (int64_t i = 0; i < n; i++) total += (uint64_t)__builtin_popcountll(words[i]);
+    return total;
+}
 """
 
 _CACHE_DIR = os.path.join(
@@ -234,6 +243,7 @@ _SIGNATURES = {
         _u64p_out, ctypes.c_uint64, ctypes.c_int,
         _u64p, _u64p, _u64p, ctypes.c_int64, _u8p_out,
     ],
+    "popcount_words": [_u64p, ctypes.c_int64],
 }
 
 _kernels = None
@@ -289,6 +299,7 @@ def get_kernels():
             fn = getattr(lib, name)
             fn.argtypes = argtypes
             fn.restype = None
+        lib.popcount_words.restype = ctypes.c_uint64
         _kernels = lib
     except Exception as exc:  # no cc, sandboxed /tmp, bad toolchain, ...
         print(

@@ -35,12 +35,12 @@ def _coerce(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays(list(out.values()), schema=schema)
 
 
-def read_transcripts(paths, **read_kwargs):
-    """``read_parquet`` (``read_kwargs`` passed through, e.g. ``columns=``
-    or ``override_num_blocks=``) coerced to the canonical schema."""
-    import ray.data as rd
+def read_transcripts(paths: list[str], columns: list[str] | None = None):
+    """The engine read (:func:`.parquet_files.read_parquet_files`) coerced
+    to the canonical schema."""
+    from .parquet_files import read_parquet_files
 
-    return rd.read_parquet(paths, **read_kwargs).map_batches(
+    return read_parquet_files(paths, columns).map_batches(
         _coerce, batch_format="pyarrow", zero_copy_batch=True
     )
 

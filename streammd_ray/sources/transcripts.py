@@ -110,7 +110,12 @@ def read_parquet_clean(paths, **kwargs):
     unhashable — Ray Data then logs "Failed to hash the schemas (for
     deduplication)" on every block unification and falls back to the slow
     unify path. Stripping at the read (a fused, zero-copy map) keeps every
-    downstream schema clean."""
+    downstream schema clean.
+
+    This stays on Ray's reader, not the engine's one read
+    (``sources.parquet_files``): it reads single source tables, which Ray's
+    reader splits into blocks for the derivation's shuffle, where the
+    engine read keeps a file whole within one task."""
     import ray.data as rd
 
     return rd.read_parquet(paths, **kwargs).map_batches(

@@ -183,21 +183,22 @@ def run_flagship_checkpointed(
     ``max_marginal_fpr`` (an entry written before these fields existed
     lacks them; such a checkpoint still resumes).
 
-    A wave reads one block per file, so it runs one fused task per file
-    (read → mark → sketch tail → part file): ``wave_size`` sets the wave's
-    parallelism as well as its checkpoint granularity.
+    A wave is one engine read (``sources.parquet_files``):
+    ``min(wave files, cluster CPUs)`` fused tasks (read → mark → sketch
+    tail → part file), each over a contiguous group of the wave's files.
+    ``wave_size`` sets only the checkpoint granularity.
 
     Returns ``(manifest, merged_sketches)``. The marked table lands under
     ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave, one
-    part file per input file below Ray's target block size.
+    part file per read task below Ray's target block size.
     """
     import ray
-    import ray.data as rd
 
     from .. import __version__
     from ..hashing import HASHER_ID
     from ..pipelines.flagship import metrics_json, run_flagship
     from ..sketches.base import Sketch, merge_all
+    from ..sources.parquet_files import read_parquet_files
     from .shards import make_shard_actors
 
     input_files = sorted(input_files)
@@ -259,13 +260,8 @@ def run_flagship_checkpointed(
             shutil.rmtree(tmp_out, ignore_errors=True)
             shutil.rmtree(wave_out, ignore_errors=True)
 
-            # one block per file: any larger count adds an unfused
-            # SplitBlocks stage (a task, part file and shard RPC per split)
-            ds = rd.read_parquet(
-                files, columns=columns, override_num_blocks=len(files)
-            )
             res = run_flagship(
-                ds,
+                read_parquet_files(files, columns),
                 p=p,
                 mem=mem,
                 num_shards=num_shards,

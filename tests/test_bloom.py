@@ -5,7 +5,14 @@ plus the merge semantics the reference never needed."""
 import numpy as np
 import pytest
 
-from streammd_ray.sketches import BloomFilter, capacity, m_k_min, parse_memspec
+from streammd_ray.sketches import (
+    BloomFilter,
+    SplitBlockBloomFilter,
+    _native,
+    capacity,
+    m_k_min,
+    parse_memspec,
+)
 
 
 # --- sizing math pinned to the reference's unit tests (test_bloomfilter.cxx:10-28)
@@ -169,3 +176,21 @@ def test_serde_roundtrip():
     bf2 = BloomFilter.from_bytes(bf.to_bytes())
     assert bf2.contains("a") and bf2.contains("b") and not bf2.contains("c")
     assert bf2.n_added == 2
+
+
+@pytest.mark.skipif(_native.get_kernels() is None, reason="no C toolchain on this host")
+@pytest.mark.parametrize("cls", [BloomFilter, SplitBlockBloomFilter])
+def test_native_popcount_matches_lut(cls, monkeypatch):
+    """``count_bits_set``: the native ``popcount_words`` and the numpy LUT
+    fallback count the same bits, on a filled filter, a full one and a
+    read-only decode."""
+    bf = cls(1e-6, m=2**23, k=cls.LANES if cls is SplitBlockBloomFilter else 10)
+    bf.add_batch([f"key {i}" for i in range(50_000)])
+    full = cls(1e-6, m=2**12, k=8)
+    full._bits[:] = np.uint64(2**64 - 1)
+    decoded = cls.from_bytes(bf.to_bytes())
+    decoded._bits.flags.writeable = False
+    native = [f.count_bits_set() for f in (bf, full, decoded)]
+    monkeypatch.setattr(_native, "get_kernels", lambda: None)
+    assert native == [f.count_bits_set() for f in (bf, full, decoded)]
+    assert native[1] == 2**12 and native[0] == native[2] > 0

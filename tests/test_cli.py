@@ -56,14 +56,17 @@ def _assert_metrics_match_truth(m, truth):
     assert abs(m["CONVERSATIONS"] - true_convs) / true_convs < 0.05
 
 
-def test_plain_run_metrics_and_one_part_per_file(ray_session, data, tmp_path):
+def test_plain_run_metrics_and_one_part_per_read_task(ray_session, data, tmp_path):
     import ray
+
+    from streammd_ray.context import cluster_cpus
 
     paths, truth = data
     out, m = _run(paths, tmp_path)
     _assert_metrics_match_truth(m, truth)
     parts = sorted(glob.glob(os.path.join(out, "*.parquet")))
-    assert len(parts) == len(paths)  # one fused task per input file
+    # one fused task per read task: min(files, cluster CPUs) of them
+    assert len(parts) == min(len(paths), cluster_cpus())
     written = pq.ParquetDataset(out).read(columns=["is_duplicate"])
     assert written.num_rows == m["TURNS"]
     assert pc.sum(pc.cast(written["is_duplicate"], "int64")).as_py() == m[

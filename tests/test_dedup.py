@@ -2,11 +2,14 @@
 exact-dedup oracle — the engine's analog of the reference's golden-file
 conformance (SURVEY.md §5 layers 3-4; acceptance criteria §7.4)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data as rd
 from ray.data._internal.logical.operators.all_to_all_operator import Sort
 
@@ -247,3 +250,62 @@ def test_shard_count_estimates(ray_session, fixture_table):
     true_distinct = truth.loc[truth["text"].notna(), "text"].nunique()
     assert abs(est - true_distinct) / true_distinct < 0.02
 
+
+
+class _CountingShard:
+    """Stand-in for a shard actor handle: ``add.remote`` runs a local
+    ``_BloomShard.add`` and returns its reply as an object ref, as the actor
+    call would, and records each call's key count."""
+
+    def __init__(self, shard):
+        self.shard = shard
+        self.calls = []
+        self.add = SimpleNamespace(remote=self._add)
+
+    def _add(self, h1, h2, batch_key):
+        self.calls.append(len(h1))
+        return ray.put(self.shard.add(h1, h2, batch_key))
+
+
+def test_shard_calls_stay_under_the_inline_limit(ray_session):
+    """A shard's slice goes in ceil(n / MAX_KEYS_PER_CALL) near-equal calls
+    (each uint64 array <= 96,000 B, under Ray's 100 KiB inline limit), with
+    the marks of one call; a replayed batch hits the cache chunk by chunk."""
+    from streammd_ray.hashing import hash_pair_batch
+    from streammd_ray.stages.dedup import (
+        KEY_H1,
+        KEY_H2,
+        MARK_COL,
+        MAX_KEYS_PER_CALL,
+        BloomMarkStage,
+        _BloomShard,
+        shard_geometry,
+    )
+
+    # keys 20,000..29,999 repeat keys of the first two chunks
+    texts = pa.array([f"turn {j % 20_000}" for j in range(30_000)])
+    h1, h2 = hash_pair_batch(texts)
+    batch = pa.table(
+        {
+            "text": texts,
+            KEY_H1: pa.array(h1.view(np.int64)),
+            KEY_H2: pa.array(h2.view(np.int64)),
+        }
+    )
+    m, k = shard_geometry("1MiB", 1, "classic")
+    shard = _CountingShard(_BloomShard(1e-9, m=m, k=k))
+    marks = BloomMarkStage([shard])(batch)[MARK_COL]
+    assert shard.calls == [10_000] * 3
+    assert max(shard.calls) <= MAX_KEYS_PER_CALL and MAX_KEYS_PER_CALL * 8 <= 96_000
+
+    one_call = _BloomShard(1e-9, m=m, k=k).add(h1, h2)
+    want = ~np.unpackbits(one_call, count=len(h1)).view(bool)
+    assert marks.to_pylist() == want.tolist()
+    assert int(want.sum()) == 10_000
+
+    # a retried task rebuilds its stage, so its batch gets the original's
+    # ordinal: every chunk replays from the cache, none inserts again
+    again = BloomMarkStage([shard])(batch)[MARK_COL]
+    assert again.equals(marks)
+    assert shard.calls == [10_000] * 6
+    assert shard.shard.keys_seen == 30_000

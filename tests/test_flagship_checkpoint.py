@@ -204,10 +204,11 @@ def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
 
 
 def test_each_wave_runs_one_fused_task_per_file(ray_session, tmp_path):
-    """A wave reads one block per input file, so the read fuses into the
-    mark+sketch chain: one task, one part file per file. A default read
-    cuts a ~3.5 MiB (in memory) file into several blocks through an unfused
-    SplitBlocks stage, each block its own task and part file."""
+    """A wave of one file is one engine read task and one block, so the
+    read fuses into the mark+sketch chain: one task, one part file per
+    wave. A default read cuts a ~3.5 MiB (in memory) file into several
+    blocks through an unfused SplitBlocks stage, each block its own task
+    and part file."""
     files = []
     for i in range(2):
         n = 20_000

@@ -19,6 +19,10 @@ FORBIDDEN = {
     "streammd_ray": HEAVY,
     "streammd_ray.sketches": (*HEAVY, "pyarrow"),
     "streammd_ray.state.shards": (*HEAVY, "pyarrow"),
+    # Ray Data comes in with the engine read, on a pass's first read: a
+    # driver that imports the package before ray.init keeps Ray's import
+    # order (and the idle session's memory baseline)
+    "streammd_ray.sources": ("ray.data", "polars"),
 }
 
 
