@@ -5,13 +5,16 @@ streammd_ray.cli ...``: it connects to the cluster ``RAY_ADDRESS`` names
 (``ray job submit`` sets it), else starts a local Ray (also for
 ``RAY_ADDRESS=local``), and shuts down only a Ray it started.
 
-A plain job is one ``run_flagship`` pass over one engine read
-(``sources.parquet_files``): ``min(input files, cluster CPUs)`` fused
-tasks, each over a contiguous group of files, mark, sketch and write part
-files into a temporary directory beside ``--output``; the part files move
-into ``--output`` only once the capacity check passes. ``--sort-output``
+A plain job is one ``run_flagship`` pass over the engine's one read
+(``sources.parquet_files``, which coerces every file to TRANSCRIPTS_SCHEMA
+in its read task): ``min(input files, cluster CPUs)`` fused tasks, each
+over a contiguous group of files, mark, sketch and write part files into a
+temporary directory beside ``--output``; the part files move into
+``--output`` only once the capacity check passes. ``--sort-output``
 instead rewrites them in one more pass over the same read, which reads
-finished output and never marks. Input and output are Parquet.
+finished output and never marks. ``--checkpoint-dir`` runs the fused pass
+in waves, each over that same read, so both modes write one schema. Input
+and output are Parquet.
 
 Flags mapped (SURVEY.md §2.7):
   --input / --output        parquet in/out (no stdio mode)
@@ -126,18 +129,19 @@ def _warn_overcapacity(over: int, max_fpr: float, args) -> None:
 
 
 def _run_plain(args, paths, key_cols) -> dict:
-    """One fused mark + sketch + persist pass (see the module docstring)."""
+    """One fused mark + sketch + persist pass over the engine read, and
+    with ``--sort-output`` one sorting pass over the same read of its part
+    files (see the module docstring)."""
     from .pipelines.flagship import run_flagship
-    from .sources.io import read_transcripts, write_transcripts
+    from .sources.io import write_transcripts
     from .sources.parquet_files import read_parquet_files
 
-    ds = read_transcripts(paths)
     out = os.path.abspath(args.output)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".streammd-", dir=os.path.dirname(out))
     try:
         res = run_flagship(
-            ds,
+            read_parquet_files(paths),
             p=args.fp_rate,
             mem=args.mem,
             num_shards=args.num_shards,
@@ -166,8 +170,10 @@ def _run_plain(args, paths, key_cols) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # a bad -m or --num-shards is a usage error, before Ray starts
+    try:  # a bad -m, --num-shards or --wave-size is a usage error, before Ray starts
         shard_geometry(args.mem, args.num_shards, args.bloom_layout)
+        if args.wave_size < 1:
+            raise ValueError(f"--wave-size must be at least 1, got {args.wave_size}")
     except ValueError as e:
         parser.exit(2, f"{parser.prog}: error: {e}\n")
 

@@ -6,8 +6,9 @@ behaviour only; this is a from-scratch numpy implementation):
 - sizing math ``m_k_min`` / ``capacity`` (src/bloomfilter.cxx:65-91), pinned by
   the reference's unit tests (tests/test_bloomfilter.cxx:10-28) and re-pinned in
   tests/test_bloom.py here;
-- memory-budgeted construction ``from_mem_spec`` with fixed k=10 and optional
-  round-down-to-power-of-two (src/bloomfilter.cxx:59-83);
+- memory-budgeted sizing with fixed k=10 and m rounded down to a power of
+  two (src/bloomfilter.cxx:59-83): ``parse_memspec`` here, the rule itself
+  in ``state.shards.shard_geometry``, which sizes every engine filter;
 - Kirsch–Mitzenmacher double hashing: probe_i = (h1 + i*h2) mod m, with a
   bitmask instead of mod when m is a power of two (src/bloomfilter.cxx:104-120);
 - ``add`` returns False when the item was already present — that return value IS
@@ -118,23 +119,6 @@ class BloomFilter(Sketch):
         self._mask = np.uint64(self.m - 1) if self._pow2 else None
         self._bits = np.zeros((self.m + 63) // 64, dtype=np.uint64)
         self.n_added = 0  # distinct inserts that were new
-
-    # --- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_mem_spec(
-        cls,
-        p: float = DEFAULT_FPR,
-        memspec: str = DEFAULT_MEM,
-        mpow2: bool = False,
-        **kw,
-    ) -> "BloomFilter":
-        """Memory-budgeted construction: m = 8·bytes, fixed k=10; optionally
-        round m down to a power of two for mask addressing."""
-        m = 8 * parse_memspec(memspec)
-        if mpow2:
-            m = 1 << (m.bit_length() - 1)
-        return cls(p, m=m, k=DEFAULT_MEM_K, **kw)
 
     # --- probing --------------------------------------------------------------
 
@@ -477,20 +461,6 @@ class SplitBlockBloomFilter(BloomFilter):
             [_splitmix64(0x5B1F_0000 + j) | 1 for j in range(self.LANES)],
             dtype=np.uint64,
         )
-
-    @classmethod
-    def from_mem_spec(
-        cls,
-        p: float = DEFAULT_FPR,
-        memspec: str = DEFAULT_MEM,
-        mpow2: bool = False,
-        **kw,
-    ) -> "SplitBlockBloomFilter":
-        # parent passes k=10; the split layout's k is structural
-        m = 8 * parse_memspec(memspec)
-        if mpow2:
-            m = 1 << (m.bit_length() - 1)
-        return cls(p, m=m, **kw)
 
     def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """(n, 8) flat bit indices: one per lane of h1's block (numpy

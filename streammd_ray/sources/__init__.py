@@ -1,4 +1,4 @@
-from .io import read_transcripts, write_transcripts
+from .io import write_transcripts
 from .transcripts import (
     TRANSCRIPTS_SCHEMA,
     derive_transcripts,
@@ -7,7 +7,6 @@ from .transcripts import (
 )
 
 __all__ = [
-    "read_transcripts",
     "write_transcripts",
     "TRANSCRIPTS_SCHEMA",
     "derive_transcripts",

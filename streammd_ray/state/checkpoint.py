@@ -172,18 +172,22 @@ def run_flagship_checkpointed(
     first-seen rows while counters and sketches still count every turn.
     The shards are sized as ``run_flagship`` sizes them: ``mem`` split over
     ``num_shards``, probed in the ``"classic"`` (default) or ``"split"``
-    ``bloom_layout``. ``key_cols``, ``remove_duplicates`` and
-    ``bloom_layout``, like the sizing, are pinned in the manifest config: a
+    ``bloom_layout``. ``key_cols``, ``remove_duplicates``, ``bloom_layout``
+    and ``wave_size``, like the sizing, are pinned in the manifest config: a
     resume with any of them changed raises ``ValueError`` instead of mixing
-    geometries or key specs (so does a manifest whose config still holds
-    the retired ``scope`` field).
+    geometries or key specs, or of re-inserting files an earlier wave
+    already put in the restored filter (so does a manifest whose config
+    still holds the retired ``scope`` field or lacks ``wave_size``). A
+    ``wave_size`` below 1 raises ``ValueError``.
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``, and
     each wave's manifest entry records its ``overcapacity_shards`` count and
     ``max_marginal_fpr`` (an entry written before these fields existed
     lacks them; such a checkpoint still resumes).
 
-    A wave is one engine read (``sources.parquet_files``):
+    A wave is one engine read (``sources.parquet_files``), coerced to
+    TRANSCRIPTS_SCHEMA in its read tasks as the CLI's plain run is, so a
+    wave's part files have the plain run's schema:
     ``min(wave files, cluster CPUs)`` fused tasks (read → mark → sketch
     tail → part file), each over a contiguous group of the wave's files.
     ``wave_size`` sets only the checkpoint granularity.
@@ -201,6 +205,8 @@ def run_flagship_checkpointed(
     from ..sources.parquet_files import read_parquet_files
     from .shards import make_shard_actors
 
+    if wave_size < 1:
+        raise ValueError(f"wave_size must be at least 1, got {wave_size}")
     input_files = sorted(input_files)
     waves = [
         input_files[i : i + wave_size]
@@ -217,6 +223,7 @@ def run_flagship_checkpointed(
         "key_cols": list(key_cols),
         "bloom_layout": bloom_layout,
         "remove_duplicates": remove_duplicates,
+        "wave_size": wave_size,
         "engine_version": __version__,
         "hasher": HASHER_ID,
     }

@@ -13,6 +13,7 @@ from streammd_ray.sketches import (
     m_k_min,
     parse_memspec,
 )
+from streammd_ray.state.shards import shard_geometry
 
 
 # --- sizing math pinned to the reference's unit tests (test_bloomfilter.cxx:10-28)
@@ -47,15 +48,14 @@ def test_memspec_parse():
         parse_memspec("4XB")
 
 
-def test_from_mem_spec():
-    bf = BloomFilter.from_mem_spec(1e-6, "4GiB")
-    assert bf.m == 8 * 4 * 2**30 == 2**35
-    assert bf.k == 10
-    bf = BloomFilter.from_mem_spec(1e-6, "4GB")
-    assert bf.m == 32_000_000_000
-    bf = BloomFilter.from_mem_spec(1e-6, "4GB", mpow2=True)
-    assert bf.m == 2**34  # round down to 2GiB worth of bits
-    assert bf._pow2
+def test_shard_geometry_from_mem_spec():
+    """The engine's one memory-budget sizing rule: m = 8·bytes rounded down
+    to a power of two, fixed k=10 (the split layout's k=8 is pinned in
+    test_bloom_split.py)."""
+    assert shard_geometry("4GiB", 1) == (8 * 4 * 2**30, 10) == (2**35, 10)
+    assert shard_geometry("4GB", 1) == (2**34, 10)  # 3.2e10 bits, rounded down
+    m, k = shard_geometry("4GB", 1)
+    assert BloomFilter(1e-6, m=m, k=k)._pow2
 
 
 # --- add/contains semantics (test_bloomfilter.cxx:57-81)

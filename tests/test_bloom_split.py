@@ -21,6 +21,7 @@ import pytest
 from streammd_ray.sketches import BloomFilter, SketchError, SplitBlockBloomFilter
 from streammd_ray.sketches import _native
 from streammd_ray.sketches.bloom import BLOCK_BITS
+from streammd_ray.state.shards import shard_geometry
 
 
 def _shard_add(sh, h1, h2):
@@ -55,9 +56,8 @@ def test_geometry_one_bit_per_lane():
 def test_structural_k_guard():
     with pytest.raises(ValueError, match="structural k=8"):
         SplitBlockBloomFilter(1e-6, m=2**20, k=10)
-    # the mem-spec constructor must not trip on the classic default k=10
-    bf = SplitBlockBloomFilter.from_mem_spec(1e-6, "1MiB", mpow2=True)
-    assert bf.k == 8 and bf.m == 8 * 2**20
+    # the engine's memory-budget sizing gives the split layout its k=8
+    assert shard_geometry("1MiB", 1, "split") == (8 * 2**20, 8)
 
 
 def test_fnr_zero_and_first_occurrence_semantics():
@@ -215,7 +215,7 @@ def test_shard_actor_split_construction():
     """_BloomShard(layout='split') builds the split layout from the (m, k)
     of shard_geometry (structural k=8; any other k is refused); a layout is
     named "classic" or "split" and nothing else."""
-    from streammd_ray.stages.dedup import _BloomShard, resolve_layout, shard_geometry
+    from streammd_ray.stages.dedup import _BloomShard, resolve_layout
 
     m, k = shard_geometry("128KiB", 1, "split")
     sh = _BloomShard(1e-6, m=m, k=k, layout="split")

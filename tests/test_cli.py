@@ -1,8 +1,9 @@
 """``cli.main`` in-process, mostly on the plain (non-checkpointed) branch,
 against generated transcripts with ground truth: the metrics JSON, the
 part-file layout, --remove-duplicates, --sort-output order, re-marking the
-CLI's own output, --single in both modes, the capacity guard, how the CLI
-starts and stops Ray, and bad flags as usage errors."""
+CLI's own output, --single and the coerced output schema in both modes,
+the capacity guard, how the CLI starts and stops Ray, and bad flags as
+usage errors."""
 
 import glob
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from streammd_ray import cli
 from streammd_ray.pipelines import CapacityExceeded
-from streammd_ray.sources import generate_transcripts
+from streammd_ray.sources import TRANSCRIPTS_SCHEMA, generate_transcripts
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,33 @@ def test_single_appends_conv_id_to_key_cols(ray_session, data, tmp_path, mode):
     assert tool != single
 
 
+def test_both_modes_coerce_a_loose_schema(ray_session, data, tmp_path):
+    """Files without ``tool``, with int64 turn_idx and ts as text: the plain
+    run and a checkpointed run in two waves give one metrics JSON, and
+    every part file of both has TRANSCRIPTS_SCHEMA + is_duplicate."""
+    paths, truth = data
+    src = tmp_path / "loose"
+    src.mkdir()
+    for path in paths:
+        t = pq.read_table(path).drop_columns(["tool"])
+        for name, loose_type in (("turn_idx", pa.int64()), ("ts", pa.string())):
+            i = t.schema.get_field_index(name)
+            t = t.set_column(i, name, t[name].cast(loose_type))
+        pq.write_table(t, src / os.path.basename(path))
+    loose = sorted(glob.glob(str(src / "*.parquet")))
+    out, plain = _run(loose, tmp_path, name="plain")
+    _assert_metrics_match_truth(plain, truth)
+    ckpt = ("--checkpoint-dir", str(tmp_path / "ckpt"), "--wave-size", "4")
+    waves, checkpointed = _run(loose, tmp_path, *ckpt, name="waves")
+    assert checkpointed == plain
+    want = TRANSCRIPTS_SCHEMA.append(pa.field("is_duplicate", pa.bool_()))
+    parts = glob.glob(os.path.join(out, "*.parquet"))
+    wave_parts = glob.glob(os.path.join(waves, "wave-*", "*.parquet"))
+    assert len({os.path.dirname(p) for p in wave_parts}) == 2
+    for part in parts + wave_parts:
+        assert pq.read_schema(part) == want, part
+
+
 @pytest.mark.parametrize("strip", [False, True])
 def test_plain_run_prior_marks_and_strip_previous(ray_session, tmp_path, strip):
     """An input's own is_duplicate marks reach the marker: a stale mark
@@ -212,8 +240,10 @@ def test_ray_init_honours_ray_address(monkeypatch, tmp_path, address):
         (["-m", "4XB"], "bad memory spec: '4XB'"),
         (["-m", "0B"], "mem='0B' over num_shards=8 leaves a shard no bits"),
         (["--num-shards", "0"], "over num_shards=0 leaves a shard no bits"),
+        (["--wave-size", "0"], "--wave-size must be at least 1, got 0"),
+        (["--wave-size", "-1"], "--wave-size must be at least 1, got -1"),
     ],
-    ids=["bad-spec", "zero-budget", "zero-shards"],
+    ids=["bad-spec", "zero-budget", "zero-shards", "zero-wave", "negative-wave"],
 )
 def test_bad_filter_budget_is_a_usage_error(monkeypatch, capsys, flags, message):
     """A filter budget that cannot size the shards ends the CLI with one

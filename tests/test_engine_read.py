@@ -1,8 +1,9 @@
-"""The engine's one Parquet read (``sources.parquet_files``): its
-read-task groups, one fused operator with no ``SplitBlocks`` stage over it,
-column pruning and the coercion of a file without the optional ``tool``
-column."""
+"""The engine's one transcripts read (``sources.parquet_files``): its
+read-task groups, one fused operator with no ``SplitBlocks`` stage and no
+separate coercion stage over it, column pruning, and the coercion of a file
+without the optional ``tool`` column, in the read task."""
 
+import datetime
 import glob
 import os
 
@@ -12,7 +13,6 @@ import pytest
 import ray
 
 from streammd_ray.sources import TRANSCRIPTS_SCHEMA, generate_transcripts, parquet_files
-from streammd_ray.sources.io import read_transcripts
 from streammd_ray.sources.parquet_files import read_parquet_files
 
 
@@ -60,10 +60,11 @@ def test_one_fused_operator_per_read_task(
     monkeypatch.setenv("STREAMMD_TRACE", "1")  # prints the pass's stats()
     out = str(tmp_path / "out")
     res = run_flagship(
-        read_transcripts(files), p=1e-9, mem="1MiB", num_shards=2, output_dir=out
+        read_parquet_files(files), p=1e-9, mem="1MiB", num_shards=2, output_dir=out
     )
     stats = capsys.readouterr().err
-    assert "ReadParquetFiles->MapBatches(_coerce)" in stats
+    assert "ReadParquetFiles->MapBatches(derive)->" in stats
+    assert "_coerce" not in stats
     assert "MapBatches(BloomMarkStage)->MapBatches(finish)->MapBatches(SketchTail)" in stats
     assert "SplitBlocks" not in stats
     assert f"{n_tasks} tasks executed" in stats
@@ -72,14 +73,17 @@ def test_one_fused_operator_per_read_task(
 
 
 def test_column_pruning(ray_session, files):
-    tables = ray.get(read_parquet_files(files, ["conv_id", "text"]).to_arrow_refs())
-    assert all(b.column_names == ["conv_id", "text"] for b in tables)
+    """A read of some columns returns exactly those, in the requested
+    order, with TRANSCRIPTS_SCHEMA's types; a name that is neither a
+    TRANSCRIPTS_SCHEMA column nor ``is_duplicate`` is refused before any
+    task runs."""
+    cols = ["turn_idx", "conv_id", "text"]
+    tables = ray.get(read_parquet_files(files, cols).to_arrow_refs())
+    want = pa.schema([TRANSCRIPTS_SCHEMA.field(c) for c in cols])
+    assert all(b.schema == want for b in tables)
     assert sum(b.num_rows for b in tables) == 6_000
-    coerced = pa.concat_tables(
-        ray.get(read_transcripts(files, ["conv_id", "text"]).to_arrow_refs())
-    )
-    assert coerced.schema == TRANSCRIPTS_SCHEMA
-    assert coerced["tool"].null_count == 6_000  # pruned, then null-filled
+    with pytest.raises(ValueError, match="not a transcripts column"):
+        read_parquet_files(files, ["conv_id", "nope"])
 
 
 def test_file_without_tool_reads_and_coerces(ray_session, tmp_path):
@@ -90,16 +94,24 @@ def test_file_without_tool_reads_and_coerces(ray_session, tmp_path):
                 "conv_id": ["c0", "c0", "c1"],
                 "turn_idx": pa.array([0, 1, 0], pa.int64()),
                 "text": ["a", None, "a"],
+                "ts": ["2024-01-01T00:00:00", "2024-01-01T00:00:01.5", None],
             }
         ),
         path,
     )
-    got = pa.concat_tables(ray.get(read_transcripts([path]).to_arrow_refs()))
+    got = pa.concat_tables(ray.get(read_parquet_files([path]).to_arrow_refs()))
     assert got.schema == TRANSCRIPTS_SCHEMA
+    assert got["turn_idx"].to_pylist() == [0, 1, 0]
+    assert got["tool"].null_count == 3
+    assert got["ts"].to_pylist()[1] == datetime.datetime(2024, 1, 1, 0, 0, 1, 500_000)
+    # a requested column the file lacks comes back as nulls too
+    cols = ["conv_id", "turn_idx", "tool"]
+    got = pa.concat_tables(ray.get(read_parquet_files([path], cols).to_arrow_refs()))
+    assert got.schema == pa.schema([TRANSCRIPTS_SCHEMA.field(c) for c in cols])
     assert got["turn_idx"].to_pylist() == [0, 1, 0]
     assert got["tool"].null_count == 3
 
 
-def test_read_transcripts_takes_paths_and_columns_only(files):
+def test_read_parquet_files_takes_paths_and_columns_only(files):
     with pytest.raises(TypeError):
-        read_transcripts(files, override_num_blocks=len(files))
+        read_parquet_files(files, override_num_blocks=len(files))

@@ -198,6 +198,9 @@ def test_resume_rejects_config_change(ray_session, wave_files, tmp_path):
         {"key_cols": ("text", "conv_id")},
         {"key_cols": ("text", "tool")},
         {"remove_duplicates": True},
+        # other waves: a resumed wave could hold files an earlier wave
+        # already put in the restored filter, and mark them all again
+        {"wave_size": 2},
     ):
         with pytest.raises(ValueError, match="mismatch"):
             run_flagship_checkpointed(wave_files, **{**run, **changed})
@@ -240,3 +243,15 @@ def test_each_wave_runs_one_fused_task_per_file(ray_session, tmp_path):
     assert manifest["metrics"]["TURNS_MARKED_DUPLICATE"] == 2_000
     marked = _read_marked(str(tmp_path / "out"))
     assert len(marked) == 40_000 and int(marked["is_duplicate"].sum()) == 2_000
+
+
+@pytest.mark.parametrize("wave_size", [0, -1])
+def test_wave_size_below_one_is_refused(tmp_path, wave_size):
+    with pytest.raises(ValueError, match="wave_size must be at least 1"):
+        run_flagship_checkpointed(
+            ["in.parquet"],
+            ckpt_dir=str(tmp_path / "ckpt"),
+            output_dir=str(tmp_path / "out"),
+            wave_size=wave_size,
+        )
+    assert not os.listdir(tmp_path)
