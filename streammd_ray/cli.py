@@ -71,7 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="enforce stable (conv_id, turn_idx) ordering on the output "
         "(the reference's stream-order invariant; costs one range sort)",
     )
-    ap.add_argument("--num-shards", type=int, default=8)
+    ap.add_argument(
+        "--num-shards",
+        type=int,
+        default=8,
+        help="Bloom filter partitions: each gets an equal share of -m, "
+        "keys route by hash mod partitions, and a checkpoint pins the "
+        "count; processes come from the cluster (one per CPU, at most "
+        "one per partition)",
+    )
     ap.add_argument(
         "--bloom-layout",
         choices=("classic", "split"),

@@ -1,6 +1,7 @@
 from .flagship import (
     CapacityExceeded,
     FlagshipResult,
+    ReplayMissed,
     SketchTail,
     default_sketch_specs,
     run_flagship,
@@ -9,6 +10,7 @@ from .flagship import (
 __all__ = [
     "CapacityExceeded",
     "FlagshipResult",
+    "ReplayMissed",
     "SketchTail",
     "default_sketch_specs",
     "run_flagship",

@@ -2,14 +2,14 @@
 pass that bloom-marks duplicates AND accumulates the four estimate sketches
 AND the run counters (streammd's semantics, Ray-Data shape, SURVEY.md §3.4).
 
-    read → add_key_columns → BloomMarkStage (shard actors) → finish
+    read → add_key_columns → BloomMarkStage (Bloom host actors) → finish
          → SketchTail (per-block sketch partials + counters [+ part file])
          → driver tree-merge
 
 The CLI, the checkpointed runner, the catalog's Bloom row and ``perfbench``
 call :func:`run_flagship`; ``output_dir=...`` persists the marked table in
 the same pass. No marked Dataset leaves the pass: its one plan is consumed
-once, by the partials' ``take_all``, so the shards never see a second run.
+once, by the partials' ``take_all``, so the hosts never see a second run.
 
 Differences from the reference, by design (documented, SURVEY.md §4.2):
  - FLAG|=1024 in-place becomes an appended ``is_duplicate: bool`` column;
@@ -17,7 +17,7 @@ Differences from the reference, by design (documented, SURVEY.md §4.2):
    per distinct key survives, deterministic in *count*, nondeterministic in
    *identity* — use stages.dedup.dedup_exact_first when identity must be
    reproducible;
- - the overcapacity check (reference src/streammd.cxx:142-160) runs per shard
+ - the overcapacity check (reference src/streammd.cxx:142-160) runs per partition
    and on the aggregate.
 """
 
@@ -48,12 +48,19 @@ from ..stages.sketch_agg import (
     tree_merge,
 )
 from ..state.checkpoint import DISK_COMPRESSION
-from ..state.shards import make_shard_actors
+from ..state.shards import make_shard_actors, partition_stats
 
 
 class CapacityExceeded(RuntimeError):
     """Raised when items added exceed filter capacity and overcapacity is not
     allowed (mirrors the reference's hard error, src/streammd.cxx:147-160)."""
+
+
+class ReplayMissed(RuntimeError):
+    """Raised when a retried task's Bloom call missed its host's replay
+    cache after the cache had dropped entries: the call's keys may have
+    gone in a second time and marked their own rows as duplicates, so the
+    pass's marks and counters cannot be trusted."""
 
 
 def metrics_json(turns: int, nulls: int, dups: int, conversations: int) -> dict:
@@ -74,7 +81,7 @@ _COUNTS = struct.Struct("<3q")
 
 
 def default_sketch_specs() -> dict[str, tuple[str, Sketch]]:
-    """The north_star's five-sketch set (Bloom lives in the shard actors):
+    """The north_star's five-sketch set (Bloom lives in the host actors):
     HLL distinct conv_id, CMS heavy tools, t-digest + KLL on turn length."""
     return {
         "convs_hll": ("conv_id", HyperLogLog()),
@@ -153,9 +160,14 @@ class _FirstSeenSinkTail(SketchTail):
 class FlagshipResult:
     counters: dict
     sketches: dict[str, Sketch]
-    #: each shard's ``stats()``, read once after the pass
+    #: one stats dict per Bloom partition, in partition order, read once
+    #: after the pass
     shard_stats: list[dict]
     config: dict
+    #: one dict per host process: the ``parts`` it holds, and the ``add``
+    #: ``calls`` it answered, the ``keys`` they carried and the seconds
+    #: spent inside ``add`` (``add_s``), counted since its last load
+    hosts: list[dict]
 
     def metrics(self) -> dict:
         """The reference's metrics JSON, CONVERSATIONS via the ridden HLL."""
@@ -216,13 +228,19 @@ def run_flagship(
     ``is_duplicate`` keeps its marks (OR-ed with the new ones) unless
     ``strip_previous``, which clears those not re-marked now.
 
-    Shards: with ``shards=None`` the pass spawns ``num_shards`` of them
-    (the ``mem`` budget split over them by ``state.shards.shard_geometry``,
-    probed in the ``"classic"`` or ``"split"`` ``bloom_layout``) and kills
-    them when it returns or raises. Shards a caller passes (the wave
-    runner, perfbench) keep their state and stay alive; their layout was
-    fixed at spawn, so ``bloom_layout`` is then ignored. Either way
-    ``shard_stats`` holds their stats after the pass.
+    Shards: the Bloom filter is ``num_shards`` (P) partitions held by host
+    actors (``state.shards``): with ``shards=None`` the pass spawns them
+    (``make_shard_actors``: the ``mem`` budget split over the P partitions
+    by ``state.shards.shard_geometry``, probed in the ``"classic"`` or
+    ``"split"`` ``bloom_layout``, held by as many host processes as the
+    largest divisor of P not above the cluster's CPUs) and kills them when
+    it returns or raises. Hosts a caller passes (the wave runner,
+    perfbench) keep their state and stay alive; their partitions and
+    layout were fixed at spawn, so ``num_shards`` and ``bloom_layout`` are
+    then ignored. Either way ``shard_stats`` holds one stats dict per
+    partition and ``hosts`` each host's call counters after the pass. A
+    retried task whose Bloom verdicts a host could no longer replay raises
+    :class:`ReplayMissed` (its ``replay_misses`` are in ``shard_stats``).
 
     The pass fuses with its read into one task chain per read task when
     the read makes no more blocks than tasks. The engine read
@@ -231,7 +249,7 @@ def run_flagship(
     below Ray's target block size. A default ``read_parquet`` of fewer
     files than Ray's read parallelism splits each file through an unfused
     ``SplitBlocks`` stage, and every split then runs its own chain: its own
-    task, shard RPCs, part file and partial rows."""
+    task, Bloom RPCs, part file and partial rows."""
     import os
     import sys
     import time
@@ -265,11 +283,11 @@ def run_flagship(
         i = t.schema.get_field_index(MARK_COL)
         return t.set_column(i, MARK_COL, new).drop_columns([KEY_H1, KEY_H2])
 
-    # killed on every exit: map workers keep the mark stage's shard
+    # killed on every exit: map workers keep the mark stage's host
     # handles alive, so spawned actors would outlive a pass that raised
     try:
         # every stage is a function or a callable instance (stateless tasks;
-        # all Bloom state lives in the shard actors), so Ray fuses derive →
+        # all Bloom state lives in the host actors), so Ray fuses derive →
         # mark → finish → tail into ONE task chain per block: no actor pool
         # to spawn, no extra object-store hop for the marked blocks.
         # batch_size=None on the tail → one partial per BLOCK, so the
@@ -299,7 +317,7 @@ def run_flagship(
                 print(partials.stats(), file=sys.stderr)
             except Exception:
                 pass
-        stats_refs = [s.stats.remote() for s in shards]
+        stats_refs = [h.stats.remote() for h in shards]
         counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts")]
         counters = {
             "turns": sum(c[0] for c in counts),
@@ -308,8 +326,16 @@ def run_flagship(
         }
         sketches = {n: tree_merge(sts) for n, sts in by_name.items()}
         mark_phase("tree_merge")
-        shard_stats = ray.get(stats_refs)
+        hosts = ray.get(stats_refs)
         mark_phase("shard_stats")
+        shard_stats = partition_stats(hosts)
+        hosts = [{k: v for k, v in h.items() if k != "partitions"} for h in hosts]
+        missed = sum(st["replay_misses"] for st in shard_stats)
+        if missed:
+            raise ReplayMissed(
+                f"{missed} Bloom calls of retried tasks missed their host's "
+                "replay cache; their rows were marked against themselves"
+            )
     finally:
         if owned:
             for s in shards:
@@ -318,11 +344,12 @@ def run_flagship(
         counters=counters,
         sketches=sketches,
         shard_stats=shard_stats,
+        hosts=hosts,
         config={
             "key_cols": key_cols,
             "p": p,
             "mem": mem,
-            "num_shards": len(shards),
+            "num_shards": len(shard_stats),
             "strip_previous": strip_previous,
         },
     )

@@ -6,6 +6,7 @@ tree-mergeable form."""
 from .base import Sketch, SketchError, merge_all
 from .bloom import (
     BloomFilter,
+    PartitionedBloomFilter,
     SplitBlockBloomFilter,
     capacity,
     m_k_min,
@@ -21,6 +22,7 @@ __all__ = [
     "SketchError",
     "merge_all",
     "BloomFilter",
+    "PartitionedBloomFilter",
     "SplitBlockBloomFilter",
     "capacity",
     "m_k_min",

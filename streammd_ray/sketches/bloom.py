@@ -504,3 +504,207 @@ class SplitBlockBloomFilter(BloomFilter):
             np.int64(len(h1)),
             seen,
         )
+
+
+#: probe-layout registry: a layout name → its filter class
+BLOOM_LAYOUTS = {"classic": BloomFilter, "split": SplitBlockBloomFilter}
+
+
+def resolve_layout(layout: str = "classic"):
+    """Map a layout name → filter class."""
+    if layout not in BLOOM_LAYOUTS:
+        raise ValueError(
+            f"unknown bloom layout {layout!r}; one of {sorted(BLOOM_LAYOUTS)}"
+        )
+    return BLOOM_LAYOUTS[layout]
+
+
+def partition_of(h1: np.ndarray, parts: int) -> np.ndarray:
+    """``h1 mod parts`` as indices (a mask when ``parts`` is a power of
+    two: uint64 modulo is ~5x slower)."""
+    if parts & (parts - 1) == 0:
+        return (h1 & np.uint64(parts - 1)).astype(np.intp)
+    return (h1 % np.uint64(parts)).astype(np.intp)
+
+
+def group_order(groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order of ``groups`` (ints in [0, n_groups)) and each group's
+    span in it: group g is ``order[bounds[g]:bounds[g + 1]]``. The groups
+    sort as the smallest unsigned type that holds them, which numpy's
+    stable sort radix-sorts up to 16 bits (~5x an int64 sort)."""
+    if n_groups == 1:
+        return np.arange(len(groups)), np.array([0, len(groups)])
+    order = np.argsort(
+        groups.astype(np.min_scalar_type(n_groups - 1)), kind="stable"
+    )
+    bounds = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=bounds[1:])
+    return order, bounds
+
+
+class PartitionedBloomFilter(BloomFilter):
+    """Some partitions of a Bloom filter split ``num_parts`` ways by
+    ``h1 mod num_parts``, held as the rows of one bit array.
+
+    Every partition is a filter of one ``layout`` and one per-partition
+    geometry (``m``, ``k``, as ``state.shards.shard_geometry`` gives it).
+    ``parts`` names the partitions held, ascending (all of them by
+    default); row r of the bit array is partition ``parts[r]``, and
+    :attr:`partitions` lists them as filters of their layout that share
+    those bits, so a partition's ``to_bytes`` is the state a filter of
+    that geometry alone writes. A key routes to the partition of its h1,
+    so a key is answered exactly as that one-partition filter would answer
+    it, in any interleaving with other partitions' keys. A key of a
+    partition not held is refused with a ``ValueError``.
+
+    As a whole the filter reports the held partitions' totals (``m``,
+    ``n``, ``n_added``, ``count_bits_set``, ``count_estimate``) and the
+    worst partition's ``marginal_fpr``; it merges partition by partition
+    with a filter holding the same partitions."""
+
+    kind = "bloom_parts"
+
+    def __init__(
+        self,
+        p: float = DEFAULT_FPR,
+        *,
+        m: int,
+        k: int,
+        layout: str = "classic",
+        num_parts: int = 1,
+        parts=None,
+        seed: int = SEED,
+    ):
+        self.layout, self.num_parts = layout, int(num_parts)
+        self.parts = tuple(range(self.num_parts) if parts is None else map(int, parts))
+        if not self.parts or list(self.parts) != sorted(set(self.parts)) or not (
+            0 <= self.parts[0] and self.parts[-1] < self.num_parts
+        ):
+            raise ValueError(
+                f"parts {list(self.parts)} are not ascending partitions of "
+                f"{self.num_parts}"
+            )
+        cls = resolve_layout(layout)
+        self.partitions = [cls(p, m=m, k=k, seed=seed) for _ in self.parts]
+        first = self.partitions[0]
+        self.p, self.k, self.seed, self.hasher = first.p, first.k, first.seed, first.hasher
+        self.m = first.m * len(self.parts)
+        self.n = first.n * len(self.parts)
+        self._row = np.full(self.num_parts, -1, dtype=np.int64)
+        self._row[list(self.parts)] = np.arange(len(self.parts))
+        self._bind(np.zeros(len(self.parts) * first._bits.size, dtype=np.uint64))
+
+    def _bind(self, bits: np.ndarray) -> None:
+        """Make ``bits`` the filter's bit array, row r the ``_bits`` of
+        partition r."""
+        self._bits = bits
+        w = bits.size // len(self.partitions)
+        for r, f in enumerate(self.partitions):
+            f._bits = bits[r * w : (r + 1) * w]
+
+    @property
+    def n_added(self) -> int:
+        return sum(f.n_added for f in self.partitions)
+
+    def partition(self, j: int) -> BloomFilter:
+        """Partition ``j`` (a partition id, not a row)."""
+        if not 0 <= j < self.num_parts or self._row[j] < 0:
+            raise ValueError(f"partition {j} is not one of {list(self.parts)}")
+        return self.partitions[self._row[j]]
+
+    def rows_of(self, h1: np.ndarray) -> np.ndarray:
+        """Row of each key's partition; refuses a key of a partition not
+        held."""
+        part = partition_of(np.asarray(h1, dtype=np.uint64), self.num_parts)
+        if len(self.parts) == self.num_parts:
+            return part  # every partition held: row j is partition j
+        rows = self._row[part]
+        if (rows < 0).any():
+            raise ValueError(
+                f"key of partition {part[rows < 0][0]} sent to a filter "
+                f"holding partitions {list(self.parts)}"
+            )
+        return rows
+
+    def by_row(self, rows, h1, h2, op) -> np.ndarray:
+        """``op(partition, h1, h2)`` per partition on its own keys (``rows``
+        from :meth:`rows_of`), in their order; the bool results land at the
+        keys' positions."""
+        h1 = np.ascontiguousarray(h1, dtype=np.uint64)
+        h2 = np.ascontiguousarray(h2, dtype=np.uint64)
+        if len(self.partitions) == 1:
+            return op(self.partitions[0], h1, h2)
+        out = np.zeros(len(h1), dtype=bool)
+        order, bounds = group_order(rows, len(self.partitions))
+        for r, f in enumerate(self.partitions):
+            sel = order[bounds[r] : bounds[r + 1]]
+            if len(sel):
+                out[sel] = op(f, h1[sel], h2[sel])
+        return out
+
+    def add_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        return self.by_row(self.rows_of(h1), h1, h2, BloomFilter.add_hashed)
+
+    def contains_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        return self.by_row(self.rows_of(h1), h1, h2, BloomFilter.contains_hashed)
+
+    def add(self, item) -> bool:
+        return bool(self.add_hashed(*self._scalar_hashes(item))[0])
+
+    def contains(self, item) -> bool:
+        return bool(self.contains_hashed(*self._scalar_hashes(item))[0])
+
+    def count_estimate(self) -> int:
+        return sum(f.count_estimate() for f in self.partitions)
+
+    def marginal_fpr(self, n_items: int | None = None) -> float:
+        """The worst partition's; ``n_items`` spreads evenly over them."""
+        if n_items is None:
+            return max(f.marginal_fpr() for f in self.partitions)
+        return self.partitions[0].marginal_fpr(n_items / len(self.partitions))
+
+    def set_partition(self, j: int, other: BloomFilter) -> None:
+        """Copy a one-partition filter (a partition's ``to_bytes``,
+        decoded) into partition ``j``."""
+        part = self.partition(j)
+        part.check_compatible(other)
+        part._bits[:] = other._bits
+        part.n_added = other.n_added
+
+    def merge(self, other: "PartitionedBloomFilter") -> "PartitionedBloomFilter":
+        self.check_compatible(other)
+        for f, g in zip(self.partitions, other.partitions):
+            f.merge(g)
+        return self
+
+    def _compat_key(self) -> tuple:
+        return (self.kind, self.num_parts, self.parts, *self.partitions[0]._compat_key())
+
+    def _init_kwargs(self) -> dict:
+        first = self.partitions[0]
+        return {
+            "p": self.p,
+            "m": first.m,
+            "k": self.k,
+            "layout": self.layout,
+            "num_parts": self.num_parts,
+            "parts": list(self.parts),
+            "seed": self.seed,
+        }
+
+    def _state(self):
+        scalars = {
+            "hasher": self.hasher,
+            "n_added": [f.n_added for f in self.partitions],
+        }
+        return scalars, {"bits": self._bits.reshape(len(self.parts), -1)}
+
+    def _set_state(self, scalars, arrays) -> None:
+        n_added = scalars["n_added"]
+        if len(n_added) != len(self.parts):
+            raise ValueError(f"{len(n_added)} counts for {len(self.parts)} partitions")
+        self.hasher = scalars["hasher"]
+        shape = (len(self.parts), self.partitions[0]._bits.size)
+        self._bind(state_array(arrays, "bits", np.uint64, shape).reshape(-1))
+        for f, n in zip(self.partitions, n_added):
+            f.hasher, f.n_added = self.hasher, int(n)

@@ -13,11 +13,13 @@ Three building blocks, one implementation each:
   analog: counted, never inserted, src/markdups.cxx:110-112).
 
 - :class:`BloomMarkStage` — the stateful path's router. It sends each key
-  to the shard actor ``h1 mod P`` (the shards, ``_BloomShard`` and
-  ``make_shard_actors``, live in ``state/shards.py`` so a shard process
-  imports only numpy and the filter; they are re-exported here). Marking
-  happens shard-locally during insert. The shards own disjoint keys, so a
-  global estimate sums their ``stats`` (SURVEY.md §4.2).
+  to the host actor ``h1 mod H``, which inserts it into its partition
+  ``h1 mod P`` (the hosts, ``_BloomHost`` and ``make_shard_actors``, live in
+  ``state/shards.py`` so a host process imports only numpy and the filter;
+  they are re-exported here; P partitions fix the filter, H host processes
+  hold them, H dividing P). Marking happens partition-locally during
+  insert. The partitions own disjoint keys, so a global estimate sums
+  their ``stats`` (SURVEY.md §4.2).
   First-seen-wins is arrival-order within the Ray stream — exactly one row
   per distinct key survives (actor calls serialize), but *which* physical
   row is first is nondeterministic under parallelism, so order-sensitive
@@ -43,8 +45,9 @@ import pyarrow.compute as pc
 
 from .._runtime import TaskBatches
 from ..hashing import hash_pair_batch
+from ..sketches.bloom import group_order, partition_of
 from ..state.shards import (  # noqa: F401 — re-exported engine surface
-    _BloomShard,
+    _BloomHost,
     make_shard_actors,
     resolve_layout,
     shard_geometry,
@@ -60,7 +63,7 @@ MARK_COL = "is_duplicate"
 PREV_MARK_COL = "__prev_mark"
 #: first-seen order of the exact path: first = min over these per key
 ORDER_COLS = ("conv_id", "turn_idx")
-#: keys per shard call: its two uint64 arrays (96,000 B each) stay under
+#: keys per host call: its two uint64 arrays (96,000 B each) stay under
 #: Ray's 100 KiB inline-argument limit (``max_direct_call_object_size``);
 #: one call of 24,500 keys took 16.3 ms, two of 12,250 keys 10.7 ms
 MAX_KEYS_PER_CALL = 12_000
@@ -113,14 +116,18 @@ def add_key_columns(ds, key_cols: tuple[str, ...] = ("text",)):
 
 
 class BloomMarkStage:
-    """map_batches callable: route each row's key hash to its shard actor,
+    """map_batches callable: route each row's key hash to its host actor,
     gather was_new verdicts, append ``is_duplicate``.
 
-    The per-batch work is one stable bucketing by shard + concurrent actor
-    RPCs, each of which returns its verdicts as packed bits
-    (``_BloomShard.add``). A shard's slice of n keys goes in
+    The per-batch work is one stable bucketing by host (``h1 mod H``, H =
+    ``len(shards)``, which divides the partition count P, so a host's keys
+    are exactly its partitions' keys; the host routes each to its
+    partition) + concurrent actor RPCs, each of which returns its verdicts
+    as packed bits (``_BloomHost.add``). A host's slice of n keys goes in
     ``ceil(n / MAX_KEYS_PER_CALL)`` near-equal calls, which the actor runs
-    in submission order, so the marks are those of one call.
+    in submission order, so the marks are those of one call. Each call
+    carries the task's attempt number, so a host can count a retry it
+    cannot replay.
     ``run_flagship`` passes an instance, not the class, so Ray Data runs it
     as a plain stateless task that fuses with the stages around it (read →
     derive → mark → finish → tail become ONE task chain, with no actor pool
@@ -131,15 +138,16 @@ class BloomMarkStage:
 
     def __init__(self, shards):
         self.shards = shards
-        self.P = len(shards)
+        self.H = len(shards)
         self._batches = TaskBatches()
 
     def _batch_key(self, h1_slice: np.ndarray) -> bytes:
         # (task id, ordinal) identifies a physical batch across retries: a
-        # retry's batches get the original's ordinals and HIT the shard
+        # retry's batches get the original's ordinals and HIT the host
         # cache, while distinct batches with identical content do not. The
-        # key deliberately EXCLUDES the attempt number for that reason
-        tid, _, ordinal = self._batches.next()
+        # key deliberately EXCLUDES the attempt number for that reason; the
+        # batch's calls carry it beside the key (``self._attempt``)
+        tid, self._attempt, ordinal = self._batches.next()
         h = hashlib.blake2b(digest_size=16)
         h.update(tid.encode())
         h.update(ordinal.to_bytes(8, "big"))
@@ -160,14 +168,11 @@ class BloomMarkStage:
         nonnull = h1 != 0
         if nonnull.any():
             idx = np.flatnonzero(nonnull)
-            shard_of = (h1[idx] % np.uint64(self.P)).astype(np.int64)
-            order = np.argsort(shard_of, kind="stable")
+            order, bounds = group_order(partition_of(h1[idx], self.H), self.H)
             idx_sorted = idx[order]
-            shard_sorted = shard_of[order]
-            bounds = np.searchsorted(shard_sorted, np.arange(self.P + 1))
             bkey_prefix = self._batch_key(h1[idx_sorted])
             futures, spans = [], []
-            for s in range(self.P):
+            for s in range(self.H):
                 lo, hi = bounds[s], bounds[s + 1]
                 if lo == hi:
                     continue
@@ -175,7 +180,9 @@ class BloomMarkStage:
                 for c, rows in enumerate(np.array_split(idx_sorted[lo:hi], chunks)):
                     bkey = bkey_prefix + s.to_bytes(4, "big") + c.to_bytes(4, "big")
                     futures.append(
-                        self.shards[s].add.remote(h1[rows], h2[rows], bkey)
+                        self.shards[s].add.remote(
+                            h1[rows], h2[rows], bkey, self._attempt
+                        )
                     )
                     spans.append(rows)
             for rows, packed in zip(spans, ray.get(futures)):

@@ -6,17 +6,19 @@ adds the piece a multi-node run needs. Model:
 
 - The input file list is split into **waves** of ``wave_size`` files. Each
   wave runs as ONE fused ``run_flagship`` pass (mark + sketch partials +
-  part-file writes) through the SAME long-lived Bloom shard actors (so
+  part-file writes) through the SAME long-lived Bloom host actors (so
   cross-wave duplicates are still caught), writing its part files to
   ``output_dir/wave-{i}`` atomically (tmp dir + rename).
 - After each wave the driver checks shard capacity (from the shard stats
   the pass read), commits the output,
-  snapshots every shard's serialized filter and running counters
-  (``shards/wave-{i}/``), and records the wave's counters, sketch states and
+  snapshots every Bloom partition's serialized filter and running
+  counters (``shards/wave-{i}/``, one file per partition, whichever host
+  process held it), and records the wave's counters, sketch states and
   lineage (files, config, engine + hasher versions) in ``manifest.json``
   (written atomically).
-- On resume, completed waves are skipped; shard actors are spawned only if
-  a wave is left to run, and re-loaded from
+- On resume, completed waves are skipped; host actors are spawned only if
+  a wave is left to run (as many as the cluster's CPUs allow now, not as
+  many as wrote the snapshot), and re-loaded from
   the last completed wave's snapshot, so re-processing an unfinished wave
   re-inserts only keys that wave had added — Bloom re-insert is idempotent
   for membership (SURVEY.md §4.2 retry note), and its output directory is
@@ -32,7 +34,7 @@ On disk (manifest ``"format": 2``), every byte is zstd level 1
 
 - ``output_dir/wave-{i}/part-*.parquet`` — the marked table, zstd-compressed
   parquet pages;
-- ``ckpt_dir/shards/wave-{i}/shard-{j}.bloom`` — one shard's filter in the
+- ``ckpt_dir/shards/wave-{i}/shard-{j}.bloom`` — partition j's filter in the
   sketch state layout (``sketches/base.py``), framed by :func:`compress`
   (u64 raw size, then one zstd frame); ``counters.json`` beside them;
 - ``ckpt_dir/manifest.json`` — config, lineage and per-wave counters; each
@@ -41,8 +43,8 @@ On disk (manifest ``"format": 2``), every byte is zstd level 1
 A manifest of another format (format 1 held hex-encoded pickled sketches
 and had no ``"format"`` key) is refused with a ``ValueError``: it is never
 misread and never silently restarted. Nothing decodes a state with
-``pickle``. The shard processes and the in-memory partials carry the layout
-uncompressed; only this module compresses, so pyarrow stays out of a shard
+``pickle``. The host processes and the in-memory partials carry the layout
+uncompressed; only this module compresses, so pyarrow stays out of a host
 process.
 """
 
@@ -69,7 +71,7 @@ _RAW_SIZE = struct.Struct("<Q")
 
 @functools.cache
 def _codec():
-    # imported here: a shard process imports this package, not pyarrow
+    # imported here: a host process imports this package, not pyarrow
     import pyarrow as pa
 
     return pa.Codec(**DISK_COMPRESSION)
@@ -109,37 +111,46 @@ def _load_manifest(ckpt_dir: str) -> dict | None:
     return manifest
 
 
-def _snapshot_shards(shards, stats: list[dict], ckpt_dir: str, tag: str) -> None:
-    """Persist every shard's filter + running counters under
+def _snapshot_shards(hosts, stats: list[dict], ckpt_dir: str, tag: str) -> None:
+    """Persist every partition's filter + running counters under
     ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file), so a resumed
-    run's shard stats and capacity check report true keys_seen/dups.
-    ``stats`` is each shard's ``stats()`` taken since its last insert (the
+    run's shard stats and capacity check report true keys_seen/dups. Each
+    host hands over its partitions' states by partition id, so
+    ``shard-{j}.bloom`` holds partition j whichever host held it.
+    ``stats`` is each partition's stats taken since its last insert (the
     pass's ``shard_stats``), so the counters cost no second round trip."""
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
     os.makedirs(state_dir, exist_ok=True)
-    states = ray.get([s.state.remote() for s in shards])
-    for j, b in enumerate(states):
-        tmp = os.path.join(state_dir, f"shard-{j}.bloom.tmp")
-        with open(tmp, "wb") as f:
-            f.write(compress(b))
-        os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
+    for states in ray.get([h.partition_states.remote() for h in hosts]):
+        for j, b in states.items():
+            tmp = os.path.join(state_dir, f"shard-{j}.bloom.tmp")
+            with open(tmp, "wb") as f:
+                f.write(compress(b))
+            os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
     shard_counters = [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
     _atomic_write_json(os.path.join(state_dir, "counters.json"), shard_counters)
 
 
-def _restore_shards(shards, ckpt_dir: str, tag: str) -> None:
+def _restore_shards(hosts, ckpt_dir: str, tag: str) -> None:
+    """Reload each host's partitions from a snapshot, which any host count
+    may have written: the partition count is ``counters.json``'s length."""
     import ray
+
+    from .shards import host_partitions
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
     with open(os.path.join(state_dir, "counters.json")) as f:
         counters = json.load(f)
     futures = []
-    for j, (s, c) in enumerate(zip(shards, counters)):
-        with open(os.path.join(state_dir, f"shard-{j}.bloom"), "rb") as f:
-            state = decompress(f.read())
-        futures.append(s.load.remote(state, c["keys_seen"], c["dups"]))
+    for i, h in enumerate(hosts):
+        parts = host_partitions(i, len(hosts), len(counters))
+        states = {}
+        for j in parts:
+            with open(os.path.join(state_dir, f"shard-{j}.bloom"), "rb") as f:
+                states[j] = decompress(f.read())
+        futures.append(h.load_partitions.remote(states, [counters[j] for j in parts]))
     ray.get(futures)
 
 

@@ -1,4 +1,5 @@
-"""Fault-injecting stand-ins for the flagship's mark and tail stages.
+"""Fault-injecting stand-ins for the flagship's mark and tail stages and
+for its Bloom host actor.
 
 ``tests/test_failures.py`` registers this module with
 ``ray.cloudpickle.register_pickle_by_value`` (Ray workers cannot import
@@ -91,3 +92,12 @@ def kill_shard_after(flag: str, conv_prefix: str):
         return out
 
     return fault
+
+
+def uncached(base: type) -> type:
+    """A Bloom host class (``base``: the engine's ``_BloomHost``) whose
+    replay cache keeps no entry, so every call of a retried task misses it.
+    It keeps its base's name, which the leak checks match on. Patched over
+    ``state.shards._host_actor_class``, it ships by value (its base by
+    reference)."""
+    return type(base.__name__, (base,), {"_CACHE_MAX": 0})

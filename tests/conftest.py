@@ -47,7 +47,7 @@ def flagship_marked(ray_session, tmp_path):
 
 @pytest.fixture
 def settled_new_shards(ray_session):
-    """``settle()``: the state of every ``_BloomShard`` actor created since
+    """``settle()``: the state of every ``_BloomHost`` actor created since
     the fixture was set up, polled until each is DEAD or 30 s pass.
     ``ray.kill`` lands asynchronously, and a shard still starting is not
     ALIVE yet, so a poll "until none is ALIVE" can pass at once while
@@ -60,7 +60,7 @@ def settled_new_shards(ray_session):
         return {
             aid: a["State"]
             for aid, a in ray._private.state.actors().items()
-            if a["ActorClassName"] == "_BloomShard"
+            if a["ActorClassName"] == "_BloomHost"
         }
 
     before = set(states())

@@ -5,7 +5,7 @@ import pytest
 
 
 def _add(sh, h1, h2, batch_key=None):
-    """``_BloomShard.add`` with its packed reply unpacked to was_new, as the
+    """``_BloomHost.add`` with its packed reply unpacked to was_new, as the
     mark stage reads it."""
     return np.unpackbits(sh.add(h1, h2, batch_key), count=len(h1)).view(bool)
 
@@ -14,9 +14,9 @@ def test_shard_distinct_identical_batches_both_insert():
     """Two genuinely distinct batches with byte-identical content (e.g. a
     byte-copied input file) must BOTH insert — only a true task retry (same
     batch_key) replays the cached verdict."""
-    from streammd_ray.stages.dedup import _BloomShard
+    from streammd_ray.stages.dedup import _BloomHost
 
-    sh = _BloomShard(1e-6, m=2**18, k=10)
+    sh = _BloomHost(1e-6, m=2**18, k=10)
     h1 = np.array([11, 22, 33, 11], dtype=np.uint64)
     h2 = np.array([5, 6, 7, 5], dtype=np.uint64)
 
@@ -39,10 +39,10 @@ def test_shard_distinct_identical_batches_both_insert():
 def test_shard_load_drops_replay_cache():
     """A batch_key replayed after ``load`` must insert into the loaded
     filter, not return the verdict cached against the replaced one."""
-    from streammd_ray.stages.dedup import _BloomShard
+    from streammd_ray.stages.dedup import _BloomHost
 
-    sh = _BloomShard(1e-6, m=2**18, k=10)
-    empty = _BloomShard(1e-6, m=2**18, k=10).state()
+    sh = _BloomHost(1e-6, m=2**18, k=10)
+    empty = _BloomHost(1e-6, m=2**18, k=10).state()
     h1 = np.array([11, 22], dtype=np.uint64)
     h2 = np.array([5, 6], dtype=np.uint64)
     assert _add(sh, h1, h2, b"task-A:0").tolist() == [True, True]
@@ -57,9 +57,9 @@ def test_shard_replay_cache_evicts_oldest_first(monkeypatch):
     LRU order: a replay refreshes its entry, the coldest entry goes first,
     and a replay of a cached batch returns its original verdicts with
     counters unchanged."""
-    from streammd_ray.stages.dedup import _BloomShard
+    from streammd_ray.stages.dedup import _BloomHost
 
-    sh = _BloomShard(1e-6, m=2**18, k=10)
+    sh = _BloomHost(1e-6, m=2**18, k=10)
     rng = np.random.default_rng(3)
     batches = [rng.integers(1, 2**63, (2, 64), dtype=np.uint64) for _ in range(4)]
     monkeypatch.setattr(sh, "_CACHE_MAX", 3)
@@ -75,6 +75,27 @@ def test_shard_replay_cache_evicts_oldest_first(monkeypatch):
     # the evicted batch is no longer a replay: it inserts again, all seen
     assert not _add(sh, *batches[1], b"b1").any()
     assert list(sh._cache) == [b"b0", b"b3", b"b1"]
+
+
+def test_host_counts_a_retry_that_misses_after_a_drop(monkeypatch):
+    """A retry's call (attempt > 0) that misses the replay cache counts a
+    replay miss only once the cache has dropped an entry: before that,
+    every batch an earlier attempt sent is cached, so the miss is a batch
+    it never sent. Each call counts in ``calls``/``keys``/``add_s``."""
+    from streammd_ray.stages.dedup import _BloomHost
+
+    sh = _BloomHost(1e-6, m=2**18, k=10)
+    monkeypatch.setattr(sh, "_CACHE_MAX", 1)
+    rng = np.random.default_rng(4)
+    (a1, a2), (b1, b2) = (rng.integers(1, 2**63, (2, 32), dtype=np.uint64) for _ in range(2))
+    sh.add(a1, a2, b"a", 0)
+    sh.add(b1, b2, b"b", 1)  # a batch the first attempt never sent; drops a
+    assert sh.stats()["partitions"][0]["replay_misses"] == 0
+    again = sh.add(a1, a2, b"a", 1)  # a's verdicts were dropped: inserted again
+    assert not np.unpackbits(again, count=32).any()
+    stats = sh.stats()
+    assert stats["partitions"][0]["replay_misses"] == 1
+    assert (stats["calls"], stats["keys"]) == (3, 3 * 32) and stats["add_s"] > 0
 
 
 def test_mark_stage_batch_key_distinguishes_ordinals():

@@ -25,7 +25,7 @@ from streammd_ray.state.shards import shard_geometry
 
 
 def _shard_add(sh, h1, h2):
-    """``_BloomShard.add`` with its packed reply unpacked to was_new."""
+    """``_BloomHost.add`` with its packed reply unpacked to was_new."""
     return np.unpackbits(sh.add(h1, h2), count=len(h1)).view(bool)
 
 
@@ -212,20 +212,20 @@ def test_native_unavailable_falls_back(monkeypatch):
 
 
 def test_shard_actor_split_construction():
-    """_BloomShard(layout='split') builds the split layout from the (m, k)
+    """_BloomHost(layout='split') builds the split layout from the (m, k)
     of shard_geometry (structural k=8; any other k is refused); a layout is
     named "classic" or "split" and nothing else."""
-    from streammd_ray.stages.dedup import _BloomShard, resolve_layout
+    from streammd_ray.stages.dedup import _BloomHost, resolve_layout
 
     m, k = shard_geometry("128KiB", 1, "split")
-    sh = _BloomShard(1e-6, m=m, k=k, layout="split")
-    assert isinstance(sh.bf, SplitBlockBloomFilter)
+    sh = _BloomHost(1e-6, m=m, k=k, layout="split")
+    assert isinstance(sh.bf.partition(0), SplitBlockBloomFilter)
     assert (sh.bf.m, sh.bf.k) == (2**20, 8)
     h1, h2 = _rand_hashes(2_000, 11)
     assert _shard_add(sh, h1, h2).all()
     assert not _shard_add(sh, h1, h2).any()
     with pytest.raises(ValueError, match="structural k=8"):
-        _BloomShard(1e-6, m=2**20, k=10, layout="split")
+        _BloomHost(1e-6, m=2**20, k=10, layout="split")
     assert resolve_layout() is resolve_layout("classic") is BloomFilter
     assert resolve_layout("split") is SplitBlockBloomFilter
     for name in ("sbbf", None):
@@ -234,17 +234,18 @@ def test_shard_actor_split_construction():
 
 
 def test_shard_state_roundtrip_preserves_split_layout():
-    """_BloomShard.state()/load(): the snapshot restores the split layout
+    """_BloomHost.state()/load(): the snapshot restores the split layout
     and its populated bits (the wave-checkpoint resume path)."""
-    from streammd_ray.stages.dedup import _BloomShard
+    from streammd_ray.stages.dedup import _BloomHost
 
-    sh = _BloomShard(1e-6, m=2**20, k=8, layout="split")
+    sh = _BloomHost(1e-6, m=2**20, k=8, layout="split")
     h1, h2 = _rand_hashes(3_000, 40)
     assert _shard_add(sh, h1, h2).all()
-    st = sh.stats()
-    sh2 = _BloomShard(1e-6, m=2**20, k=8, layout="split")
-    sh2.load(sh.state(), keys_seen=st["keys_seen"], dups=st["dups"])
-    assert isinstance(sh2.bf, SplitBlockBloomFilter)
+    st = sh.stats()["partitions"]
+    sh2 = _BloomHost(1e-6, m=2**20, k=8, layout="split")
+    sh2.load(sh.state(), st)
+    assert sh2.stats()["partitions"][0]["keys_seen"] == 3_000
+    assert isinstance(sh2.bf.partition(0), SplitBlockBloomFilter)
     assert not _shard_add(sh2, h1, h2).any()
 
 
@@ -347,7 +348,7 @@ def test_checkpoint_resume_default_layout_is_classic(ray_session, tmp_path):
         return {
             aid
             for aid, a in ray._private.state.actors().items()
-            if a["ActorClassName"] == "_BloomShard"
+            if a["ActorClassName"] == "_BloomHost"
         }
 
     first, _ = run_flagship_checkpointed(paths, bloom_layout="classic", **run)

@@ -189,7 +189,8 @@ def test_resume_refuses_format_1_manifest(tmp_path):
 @pytest.mark.parametrize("layout", ["classic", "split"])
 def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout):
     """Each compressed ``shard-{j}.bloom`` decodes to a filter whose bits
-    equal the live shard's ``state()``; restoring from them reloads it."""
+    equal live partition j's, whichever host holds it; restoring from
+    them reloads the hosts."""
     import ray
 
     from streammd_ray.sketches import BloomFilter
@@ -198,18 +199,28 @@ def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout
         _snapshot_shards,
         decompress,
     )
-    from streammd_ray.state.shards import make_shard_actors
+    from streammd_ray.state.shards import make_shard_actors, partition_stats
 
     shards = make_shard_actors(2, mem="64KiB", layout=layout)
     try:
         h = np.arange(1, 5_001, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        ray.get([s.add.remote(h[j::2], h[j::2] >> np.uint64(7)) for j, s in enumerate(shards)])
-        stats = ray.get([s.stats.remote() for s in shards])
+        n_hosts = np.uint64(len(shards))
+        ray.get(
+            [
+                s.add.remote(h[h % n_hosts == i], h[h % n_hosts == i] >> np.uint64(7))
+                for i, s in enumerate(shards)
+            ]
+        )
+        stats = partition_stats(ray.get([s.stats.remote() for s in shards]))
         _snapshot_shards(shards, stats, str(tmp_path), "wave-0")
         counters = json.loads((tmp_path / "shards" / "wave-0" / "counters.json").read_text())
         assert counters == [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
-        live = [BloomFilter.from_bytes(b) for b in ray.get([s.state.remote() for s in shards])]
-        for j, want in enumerate(live):
+        live = {}
+        for b in ray.get([s.state.remote() for s in shards]):
+            host_filter = BloomFilter.from_bytes(b)
+            live.update(zip(host_filter.parts, host_filter.partitions))
+        assert sorted(live) == [0, 1]
+        for j, want in live.items():
             path = tmp_path / "shards" / "wave-0" / f"shard-{j}.bloom"
             raw = path.read_bytes()
             assert len(raw) < want._bits.nbytes  # compressed on disk

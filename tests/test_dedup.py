@@ -254,7 +254,7 @@ def test_shard_count_estimates(ray_session, fixture_table):
 
 class _CountingShard:
     """Stand-in for a shard actor handle: ``add.remote`` runs a local
-    ``_BloomShard.add`` and returns its reply as an object ref, as the actor
+    ``_BloomHost.add`` and returns its reply as an object ref, as the actor
     call would, and records each call's key count."""
 
     def __init__(self, shard):
@@ -262,9 +262,9 @@ class _CountingShard:
         self.calls = []
         self.add = SimpleNamespace(remote=self._add)
 
-    def _add(self, h1, h2, batch_key):
+    def _add(self, h1, h2, batch_key, attempt):
         self.calls.append(len(h1))
-        return ray.put(self.shard.add(h1, h2, batch_key))
+        return ray.put(self.shard.add(h1, h2, batch_key, attempt))
 
 
 def test_shard_calls_stay_under_the_inline_limit(ray_session):
@@ -278,7 +278,7 @@ def test_shard_calls_stay_under_the_inline_limit(ray_session):
         MARK_COL,
         MAX_KEYS_PER_CALL,
         BloomMarkStage,
-        _BloomShard,
+        _BloomHost,
         shard_geometry,
     )
 
@@ -293,12 +293,12 @@ def test_shard_calls_stay_under_the_inline_limit(ray_session):
         }
     )
     m, k = shard_geometry("1MiB", 1, "classic")
-    shard = _CountingShard(_BloomShard(1e-9, m=m, k=k))
+    shard = _CountingShard(_BloomHost(1e-9, m=m, k=k))
     marks = BloomMarkStage([shard])(batch)[MARK_COL]
     assert shard.calls == [10_000] * 3
     assert max(shard.calls) <= MAX_KEYS_PER_CALL and MAX_KEYS_PER_CALL * 8 <= 96_000
 
-    one_call = _BloomShard(1e-9, m=m, k=k).add(h1, h2)
+    one_call = _BloomHost(1e-9, m=m, k=k).add(h1, h2)
     want = ~np.unpackbits(one_call, count=len(h1)).view(bool)
     assert marks.to_pylist() == want.tolist()
     assert int(want.sum()) == 10_000

@@ -1,5 +1,7 @@
 """Exactness under real failures: a worker process that dies mid-task, a
-wave that raises after its shard RPCs, and a Bloom shard killed mid-pass.
+wave that raises after its Bloom RPCs, a Bloom host process killed
+mid-pass, a retry its host can no longer replay, and a resume under another
+host count.
 
 The faults come from ``tests/_faults.py``: stand-ins for the mark and tail
 stages, shipped to the workers by value and patched over the engine's
@@ -21,8 +23,10 @@ import ray
 import ray.data as rd
 
 import _faults
+import streammd_ray.context as context
 import streammd_ray.pipelines.flagship as fmod
-from streammd_ray.pipelines import run_flagship
+import streammd_ray.state.shards as shards_mod
+from streammd_ray.pipelines import ReplayMissed, run_flagship
 from streammd_ray.state.checkpoint import run_flagship_checkpointed
 
 #: seconds any one pass or runner call may take, a failed one included
@@ -129,6 +133,27 @@ def test_worker_exit_in_tail_retries_exactly(
     assert int(rows["is_duplicate"].sum()) == res.counters["dups"] > 0
 
 
+def test_retry_past_the_replay_cache_raises(
+    settled_new_shards, pass_files, tmp_path, monkeypatch
+):
+    """A retried task whose verdicts its host no longer holds (a stand-in
+    host that caches nothing) re-inserts its keys and marks its own rows:
+    the host counts the miss and the pass raises instead of returning those
+    marks. Its hosts die with it."""
+    flag = _flag(tmp_path)
+    monkeypatch.setattr(
+        fmod, "SketchTail", _faults.inject(fmod.SketchTail, _faults.exit_after(flag))
+    )
+    uncached = ray.remote(num_cpus=0)(_faults.uncached(shards_mod._BloomHost))
+    monkeypatch.setattr(shards_mod, "_host_actor_class", lambda: uncached)
+    with pytest.raises(ReplayMissed, match="replay cache"):
+        _pass(pass_files, str(tmp_path / "crashed"))
+    assert not os.path.exists(flag)  # one worker did exit
+    spawned = settled_new_shards()
+    assert len(spawned) == shards_mod.host_count(2)
+    assert set(spawned.values()) == {"DEAD"}
+
+
 # ---------------------------------------------------------------------------
 # (b), (c) the wave runner: a failed wave, then a resume
 # ---------------------------------------------------------------------------
@@ -230,6 +255,28 @@ def test_killed_shard_fails_the_wave_then_resumes(
     )
     assert not os.path.exists(flag)
     spawned = settled_new_shards()
-    assert len(spawned) == WAVE["num_shards"]
+    assert len(spawned) == shards_mod.host_count(WAVE["num_shards"])
     assert set(spawned.values()) == {"DEAD"}
+    _assert_resume_identical(wave_files, run, uninterrupted)
+
+
+def test_resume_under_another_host_count(
+    ray_session, wave_files, uninterrupted, tmp_path, monkeypatch
+):
+    """Waves checkpointed by one host holding both partitions resume in two
+    hosts of one partition each: the snapshot is per partition, so the
+    resumed content equals an uninterrupted run's."""
+    flag = _flag(tmp_path)
+    monkeypatch.setattr(context, "cluster_cpus", lambda: 1)
+    assert shards_mod.host_count(WAVE["num_shards"]) == 1
+    run = _fail(
+        wave_files,
+        tmp_path,
+        monkeypatch,
+        "SketchTail",
+        _faults.raise_before(flag, "f2-"),
+        "injected stage failure",
+    )
+    monkeypatch.setattr(context, "cluster_cpus", lambda: 2)
+    assert shards_mod.host_count(WAVE["num_shards"]) == 2
     _assert_resume_identical(wave_files, run, uninterrupted)

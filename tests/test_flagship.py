@@ -10,6 +10,7 @@ import ray.data as rd
 
 from streammd_ray.pipelines import run_flagship
 from streammd_ray.sources import generate_transcripts
+from streammd_ray.state.shards import host_count, partition_stats
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def _shard_states() -> dict:
     return {
         aid: a["State"]
         for aid, a in ray._private.state.actors().items()
-        if a["ActorClassName"] == "_BloomShard"
+        if a["ActorClassName"] == "_BloomHost"
     }
 
 
@@ -87,7 +88,7 @@ def test_raising_pass_kills_its_shards(settled_new_shards):
     with pytest.raises(Exception, match="reserved columns"):
         run_flagship(ds, mem="64KiB", num_shards=2)
     spawned = settled_new_shards()
-    assert len(spawned) == 2
+    assert len(spawned) == host_count(2)
     assert set(spawned.values()) == {"DEAD"}
 
 
@@ -104,7 +105,12 @@ def test_caller_shards_survive_and_take_a_second_pass(ray_session, data):
         first = run_flagship(rd.read_parquet(path), p=1e-9, shards=shards)
         states = _shard_states()
         assert {states[s._actor_id.hex()] for s in shards} == {"ALIVE"}
-        assert first.shard_stats == ray.get([s.stats.remote() for s in shards])
+        hosts = ray.get([s.stats.remote() for s in shards])
+        assert first.hosts == [
+            {k: v for k, v in h.items() if k != "partitions"} for h in hosts
+        ]
+        assert first.shard_stats == partition_stats(hosts)
+        assert len(first.shard_stats) == first.config["num_shards"] == 2
         assert sum(s["keys_seen"] for s in first.shard_stats) == int(
             truth["text"].notna().sum()
         )

@@ -160,7 +160,7 @@ def _shard_actor_ids() -> set:
     return {
         aid
         for aid, a in ray._private.state.actors().items()
-        if a["ActorClassName"] == "_BloomShard"
+        if a["ActorClassName"] == "_BloomHost"
     }
 
 

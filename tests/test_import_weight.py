@@ -1,4 +1,4 @@
-"""Import weight: a Bloom shard process imports ``streammd_ray.state.shards``
+"""Import weight: a Bloom host process imports ``streammd_ray.state.shards``
 and must not pay for Ray Data, pandas, polars or pyarrow (59-66 ms of
 import alone; the checkpoint codec imports it on first use, in the driver).
 No engine process loads polars at all: the key hasher is the engine's own
