@@ -80,8 +80,8 @@ def raise_before(flag: str, conv_prefix: str):
 
 
 def kill_shard_after(flag: str, conv_prefix: str):
-    """For the mark stage: kill shard 0 once, right after the RPCs of the
-    first block whose conv_ids start with ``conv_prefix``."""
+    """For the mark stage: kill its first Bloom host once, right after the
+    RPCs of the first block whose conv_ids start with ``conv_prefix``."""
 
     def fault(stage, batch, call):
         import ray
