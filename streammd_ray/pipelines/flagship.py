@@ -240,7 +240,9 @@ def run_flagship(
     then ignored. Either way ``shard_stats`` holds one stats dict per
     partition and ``hosts`` each host's call counters after the pass. A
     retried task whose Bloom verdicts a host could no longer replay raises
-    :class:`ReplayMissed` (its ``replay_misses`` are in ``shard_stats``).
+    :class:`ReplayMissed` (each host's ``replay_misses`` counts its missed
+    calls, each partition's in ``shard_stats`` the missed calls that
+    touched it).
 
     The pass fuses with its read into one task chain per read task when
     the read makes no more blocks than tasks. The engine read
@@ -330,7 +332,7 @@ def run_flagship(
         mark_phase("shard_stats")
         shard_stats = partition_stats(hosts)
         hosts = [{k: v for k, v in h.items() if k != "partitions"} for h in hosts]
-        missed = sum(st["replay_misses"] for st in shard_stats)
+        missed = sum(h["replay_misses"] for h in hosts)
         if missed:
             raise ReplayMissed(
                 f"{missed} Bloom calls of retried tasks missed their host's "

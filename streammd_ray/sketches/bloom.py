@@ -520,23 +520,14 @@ def resolve_layout(layout: str = "classic"):
 
 
 def partition_of(h1: np.ndarray, parts: int) -> np.ndarray:
-    """``h1 mod parts`` as indices (a mask when ``parts`` is a power of
-    two: uint64 modulo is ~5x slower)."""
-    if parts & (parts - 1) == 0:
-        return (h1 & np.uint64(parts - 1)).astype(np.intp)
+    """``h1 mod parts`` as indices."""
     return (h1 % np.uint64(parts)).astype(np.intp)
 
 
 def group_order(groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """A stable order of ``groups`` (ints in [0, n_groups)) and each group's
-    span in it: group g is ``order[bounds[g]:bounds[g + 1]]``. The groups
-    sort as the smallest unsigned type that holds them, which numpy's
-    stable sort radix-sorts up to 16 bits (~5x an int64 sort)."""
-    if n_groups == 1:
-        return np.arange(len(groups)), np.array([0, len(groups)])
-    order = np.argsort(
-        groups.astype(np.min_scalar_type(n_groups - 1)), kind="stable"
-    )
+    span in it: group g is ``order[bounds[g]:bounds[g + 1]]``."""
+    order = np.argsort(groups, kind="stable")
     bounds = np.zeros(n_groups + 1, dtype=np.intp)
     np.cumsum(np.bincount(groups, minlength=n_groups), out=bounds[1:])
     return order, bounds
@@ -616,8 +607,6 @@ class PartitionedBloomFilter(BloomFilter):
         """Row of each key's partition; refuses a key of a partition not
         held."""
         part = partition_of(np.asarray(h1, dtype=np.uint64), self.num_parts)
-        if len(self.parts) == self.num_parts:
-            return part  # every partition held: row j is partition j
         rows = self._row[part]
         if (rows < 0).any():
             raise ValueError(
@@ -632,8 +621,6 @@ class PartitionedBloomFilter(BloomFilter):
         keys' positions."""
         h1 = np.ascontiguousarray(h1, dtype=np.uint64)
         h2 = np.ascontiguousarray(h2, dtype=np.uint64)
-        if len(self.partitions) == 1:
-            return op(self.partitions[0], h1, h2)
         out = np.zeros(len(h1), dtype=bool)
         order, bounds = group_order(rows, len(self.partitions))
         for r, f in enumerate(self.partitions):

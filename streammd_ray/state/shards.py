@@ -72,7 +72,12 @@ def shard_geometry(mem: str, num_shards: int, layout: str = "classic"):
 
 def host_count(num_shards: int) -> int:
     """H for P = ``num_shards`` partitions: the largest divisor of P that
-    is not above ``context.cluster_cpus()``."""
+    is not above ``context.cluster_cpus()``.
+
+    Measured only where it gives H = 1 (a 1-CPU cluster) or H = P: the
+    throughput of 1 < H < P, where each single-threaded host serves its
+    several partitions' calls one after another (P = 8 gives 2 hosts on 3
+    CPUs, 4 on 7), is unmeasured."""
     from ..context import cluster_cpus
 
     top = max(1, min(num_shards, cluster_cpus()))
@@ -143,12 +148,17 @@ class _BloomHost:
             raise ValueError(f"{len(counters)} counters for {rows} partitions")
         self.keys_seen = np.array([c["keys_seen"] for c in counters], np.int64)
         self.dups = np.array([c["dups"] for c in counters], np.int64)
-        self.replay_misses = np.zeros(rows, np.int64)
+        #: retried calls that missed the cache with their key evicted: in
+        #: all, and per partition among those a call's keys touched
+        self.replay_misses = 0
+        self.partition_misses = np.zeros(rows, np.int64)
         # LRU: replayed (retried-task) lookups move their entry to the back,
         # so eviction hits the coldest entries — those of long-finished tasks
         # — first, not a live task's entry in a long-lived worker
         self._cache: collections.OrderedDict = collections.OrderedDict()
-        self._dropped = 0
+        #: keys of evicted entries (24 B each, against a reply of up to
+        #: 1.5 KB), so a retry can tell an evicted batch from one never sent
+        self._evicted: set[bytes] = set()
 
     def add(
         self,
@@ -174,12 +184,12 @@ class _BloomHost:
         ``run_flagship`` executes its plan exactly once.
 
         ``attempt`` is the calling task's attempt number. A retry's call
-        (attempt > 0) that misses the cache after the cache has dropped an
-        entry may be a batch whose verdicts were evicted: it is inserted
-        again, marks its own rows, and counts one ``replay_misses`` in each
-        partition it touches. With nothing dropped, every batch an earlier
-        attempt sent is still cached, so such a miss is a batch that attempt
-        never sent, and counts nothing.
+        (attempt > 0) whose ``batch_key`` was evicted from the cache is a
+        batch an earlier attempt sent whose verdicts are gone: it is inserted
+        again, marks its own rows, and counts one ``replay_misses`` (and one
+        in each touched partition's count). A retry's miss of a key never
+        evicted is a batch no earlier attempt sent (the attempt died before
+        it), and counts nothing.
         """
         t0 = time.perf_counter()
         self.calls += 1
@@ -193,26 +203,27 @@ class _BloomHost:
             keys = np.bincount(rows, minlength=len(self.keys_seen))
             self.keys_seen += keys
             self.dups += keys - np.bincount(rows[was_new], minlength=len(keys))
-            if attempt > 0 and self._dropped:
-                self.replay_misses += keys > 0
+            if attempt > 0 and batch_key in self._evicted:
+                self.replay_misses += 1
+                self.partition_misses += keys > 0
             packed = np.packbits(was_new)
             if batch_key is not None:
                 self._cache[batch_key] = packed
                 if len(self._cache) > self._CACHE_MAX * len(self.bf.parts):
-                    self._cache.popitem(last=False)
-                    self._dropped += 1
+                    self._evicted.add(self._cache.popitem(last=False)[0])
         self.add_s += time.perf_counter() - t0
         return packed
 
     def stats(self) -> dict:
-        """This host's ``parts``, its ``calls``, ``keys`` and ``add_s``
-        (seconds inside ``add``), and ``partitions``: one stats dict per
-        held partition, in ``parts`` order."""
+        """This host's ``parts``, its ``calls``, ``keys``, ``add_s``
+        (seconds inside ``add``) and ``replay_misses``, and ``partitions``:
+        one stats dict per held partition, in ``parts`` order."""
         return {
             "parts": list(self.bf.parts),
             "calls": self.calls,
             "keys": self.keys,
             "add_s": self.add_s,
+            "replay_misses": self.replay_misses,
             "partitions": [
                 {
                     "keys_seen": int(self.keys_seen[r]),
@@ -221,7 +232,7 @@ class _BloomHost:
                     "capacity": f.n,
                     "marginal_fpr": f.marginal_fpr(),
                     "count_estimate": f.count_estimate(),
-                    "replay_misses": int(self.replay_misses[r]),
+                    "replay_misses": int(self.partition_misses[r]),
                 }
                 for r, f in enumerate(self.bf.partitions)
             ],

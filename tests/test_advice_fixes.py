@@ -77,25 +77,33 @@ def test_shard_replay_cache_evicts_oldest_first(monkeypatch):
     assert list(sh._cache) == [b"b0", b"b3", b"b1"]
 
 
-def test_host_counts_a_retry_that_misses_after_a_drop(monkeypatch):
-    """A retry's call (attempt > 0) that misses the replay cache counts a
-    replay miss only once the cache has dropped an entry: before that,
-    every batch an earlier attempt sent is cached, so the miss is a batch
-    it never sent. Each call counts in ``calls``/``keys``/``add_s``."""
+def test_host_counts_a_retry_of_an_evicted_batch(monkeypatch):
+    """A retry's call (attempt > 0) counts a replay miss only when its batch
+    key was evicted from the replay cache: a key never sent is a batch the
+    failed attempt died before, exact on its first insert, even after other
+    entries were evicted. A miss counts once per call in the host's
+    ``replay_misses`` and once in each partition its keys touched. Each
+    call counts in ``calls``/``keys``/``add_s``."""
     from streammd_ray.stages.dedup import _BloomHost
 
-    sh = _BloomHost(1e-6, m=2**18, k=10)
-    monkeypatch.setattr(sh, "_CACHE_MAX", 1)
+    sh = _BloomHost(1e-6, m=2**18, k=10, num_parts=2)
+    monkeypatch.setattr(sh, "_CACHE_MAX", 1)  # 2 entries: 1 per partition
     rng = np.random.default_rng(4)
-    (a1, a2), (b1, b2) = (rng.integers(1, 2**63, (2, 32), dtype=np.uint64) for _ in range(2))
-    sh.add(a1, a2, b"a", 0)
-    sh.add(b1, b2, b"b", 1)  # a batch the first attempt never sent; drops a
-    assert sh.stats()["partitions"][0]["replay_misses"] == 0
-    again = sh.add(a1, a2, b"a", 1)  # a's verdicts were dropped: inserted again
+    a, b, c, d = (rng.integers(1, 2**63, (2, 32), dtype=np.uint64) for _ in range(4))
+    sh.add(*a, b"a", 0)
+    sh.add(*b, b"b", 0)
+    sh.add(*c, b"c", 0)  # evicts a
+    assert list(sh._cache) == [b"b", b"c"]
+    sh.add(*d, b"d", 1)  # never sent before: a first insert, no miss
+    stats = sh.stats()
+    assert stats["replay_misses"] == 0
+    assert [p["replay_misses"] for p in stats["partitions"]] == [0, 0]
+    again = sh.add(*a, b"a", 1)  # a's verdicts were evicted: inserted again
     assert not np.unpackbits(again, count=32).any()
     stats = sh.stats()
-    assert stats["partitions"][0]["replay_misses"] == 1
-    assert (stats["calls"], stats["keys"]) == (3, 3 * 32) and stats["add_s"] > 0
+    assert stats["replay_misses"] == 1  # one call, keys of both partitions
+    assert [p["replay_misses"] for p in stats["partitions"]] == [1, 1]
+    assert (stats["calls"], stats["keys"]) == (5, 5 * 32) and stats["add_s"] > 0
 
 
 def test_mark_stage_batch_key_distinguishes_ordinals():
