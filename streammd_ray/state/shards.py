@@ -156,8 +156,9 @@ class _BloomHost:
         # so eviction hits the coldest entries — those of long-finished tasks
         # — first, not a live task's entry in a long-lived worker
         self._cache: collections.OrderedDict = collections.OrderedDict()
-        #: keys of evicted entries (24 B each, against a reply of up to
-        #: 1.5 KB), so a retry can tell an evicted batch from one never sent
+        #: keys of evicted entries, so a retry can tell an evicted batch from
+        #: one never sent. It grows by one 24-byte key (~100 B in the set)
+        #: per eviction until ``load``, against a reply of up to 1.5 KB
         self._evicted: set[bytes] = set()
 
     def add(
