@@ -164,10 +164,10 @@ def _run_plain(args, paths, key_cols) -> dict:
             report["overcapacity_shards"], report["max_marginal_fpr"], args
         )
         parts = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
+        os.makedirs(out, exist_ok=True)  # also for an input of no rows
         if args.sort_output:
             write_transcripts(read_parquet_files(parts), out, sort=True)
         else:
-            os.makedirs(out, exist_ok=True)
             for part in parts:
                 os.replace(part, os.path.join(out, os.path.basename(part)))
         return res.metrics()

@@ -57,10 +57,10 @@ class CapacityExceeded(RuntimeError):
 
 
 class ReplayMissed(RuntimeError):
-    """Raised when a retried task's Bloom call missed its host's replay
-    cache after the cache had dropped entries: the call's keys may have
-    gone in a second time and marked their own rows as duplicates, so the
-    pass's marks and counters cannot be trusted."""
+    """Raised when a retried task's Bloom call carried a batch key that its
+    host's replay cache had evicted: the call's keys went in a second time
+    and marked their own rows as duplicates, so the pass's marks and
+    counters cannot be trusted."""
 
 
 def metrics_json(turns: int, nulls: int, dups: int, conversations: int) -> dict:
@@ -261,7 +261,8 @@ def run_flagship(
     owned = shards is None
     if owned:
         shards = make_shard_actors(num_shards, p=p, mem=mem, layout=bloom_layout)
-    packed = pickle.dumps(default_sketch_specs())
+    specs = default_sketch_specs()
+    packed = pickle.dumps(specs)
     tail_cls = _FirstSeenSinkTail if remove_duplicates else SketchTail
     trace = bool(os.environ.get("STREAMMD_TRACE"))
     t0 = time.monotonic()
@@ -320,13 +321,18 @@ def run_flagship(
             except Exception:
                 pass
         stats_refs = [h.stats.remote() for h in shards]
-        counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts")]
+        # a pass over no rows emits no partials: zero counters, and its
+        # sketches are the empty prototypes
+        counts = [_COUNTS.unpack(s) for s in by_name.pop("__counts", [])]
         counters = {
             "turns": sum(c[0] for c in counts),
             "dups": sum(c[1] for c in counts),
             "nulls": sum(c[2] for c in counts),
         }
-        sketches = {n: tree_merge(sts) for n, sts in by_name.items()}
+        sketches = {
+            n: tree_merge(by_name[n]) if n in by_name else proto
+            for n, (_, proto) in specs.items()
+        }
         mark_phase("tree_merge")
         hosts = ray.get(stats_refs)
         mark_phase("shard_stats")

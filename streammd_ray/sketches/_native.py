@@ -32,12 +32,8 @@ with the system C compiler at first use and binds it via ctypes:
   fcntl lock so 32 concurrent Ray workers compile once, not 32 times;
 - every caller falls back to numpy when no compiler is available
   (``get_kernels()`` returns None): the hasher's twin gives identical
-  hashes, and the probe kernels behave identically except that the
-  sequential loop implements the reference's EXACT
-  insert-one-at-a-time semantics (src/bloomfilter.cxx:35-45): a false
-  positive caused by earlier keys of the same batch IS counted, where the
-  batch kernel's gather-then-scatter order does not. At the engine's
-  p=1e-6 geometry the difference is ~n·p per batch (≪ 1).
+  hashes, and the numpy insert gives the kernels' verdicts and bits, those
+  of the reference's one-at-a-time insert (src/bloomfilter.cxx:35-45).
 
 Set STREAMMD_NO_NATIVE=1 to force the numpy paths, hasher twin included
 (used by the parity tests, and the escape hatch if a host's toolchain

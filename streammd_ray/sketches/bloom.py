@@ -17,11 +17,8 @@ behaviour only; this is a from-scratch numpy implementation):
 
 New vs the reference: ``add_batch`` (vectorized insert over a whole column) and
 ``merge`` (bitwise OR of equal-(m,k,seed) bit arrays) for partition-parallel
-use. Batch-insert semantics: within one batch, only the first occurrence of a
-distinct key can be "new"; a key is also not-new if all k of its bits were set
-by prior batches. (This is at-least-as-accurate as sequential insertion: false
-positives caused by other keys *within the same batch* are not counted, so
-measured FPR ≤ the sequential filter's FPR; FNR is 0 in both.)
+use. A batch insert gives the verdicts of inserting its keys one at a time,
+in order, as the reference's ``add`` does: with or without the C kernels.
 """
 
 from __future__ import annotations
@@ -50,6 +47,9 @@ _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _POP_CHUNK = 1 << 26  # 64 MiB of bytes per gather keeps the temp bounded
 DEFAULT_FPR = 1e-6
 DEFAULT_MEM = "4GiB"
+#: keys per step of the numpy insert: 4096 keep a step's (n, k) temporaries
+#: in cache, where a 1M-key batch in one step took ~5x as long
+_NUMPY_STEP = 4096
 
 
 def parse_memspec(memspec: str) -> int:
@@ -81,12 +81,6 @@ def capacity(p: float, m: float, k: float) -> int:
 
 class BloomFilter(Sketch):
     kind = "bloom"
-
-    #: axis of ``_indices`` output that runs over the k probes of one key:
-    #: 0 → shape (k, n) probe-major (classic), 1 → shape (n, k) key-major
-    #: (split layout — key-major order makes the k gathers/scatters of a
-    #: key consecutive, so they hit the one cache line the layout promises)
-    _probe_axis = 0
 
     def __init__(
         self,
@@ -123,31 +117,16 @@ class BloomFilter(Sketch):
     # --- probing --------------------------------------------------------------
 
     def _indices(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """(k, n) probe indices via double hashing."""
-        i = np.arange(self.k, dtype=np.uint64)[:, None]
-        idx = h1[None, :] + i * h2[None, :]
+        """(n, k) probe indices via double hashing."""
+        idx = h1[:, None] + h2[:, None] * np.arange(self.k, dtype=np.uint64)
         if self._pow2:
             return idx & self._mask
         return idx % np.uint64(self.m)
 
-    def _test_and_set(self, idx: np.ndarray) -> np.ndarray:
-        """idx: probe indices (axis ``_probe_axis`` runs over a key's k
-        probes) → bool (n,) 'all k bits were already set'; sets all.
-
-        The scatter-OR (np.bitwise_or.at, unbuffered) dominates the kernel;
-        when most probe bits are already set (steady-state duplicate-heavy
-        streams) scattering only the missing bits is ~3x cheaper, so the
-        subset path is chosen adaptively from the gather we need anyway."""
+    def _is_set(self, idx: np.ndarray) -> np.ndarray:
+        """Whether each bit index is set."""
         word = (idx >> np.uint64(6)).astype(np.int64)
-        bit = np.uint64(1) << (idx & np.uint64(63))
-        present = (self._bits[word] & bit) != 0
-        seen = present.all(axis=self._probe_axis)
-        need = ~present.ravel()
-        if need.mean() < 0.55:
-            np.bitwise_or.at(self._bits, word.ravel()[need], bit.ravel()[need])
-        else:
-            np.bitwise_or.at(self._bits, word.ravel(), bit.ravel())
-        return seen
+        return (self._bits[word] & (np.uint64(1) << (idx & np.uint64(63)))) != 0
 
     def _native_tas(self, nat, h1, h2, seen) -> None:
         """Dispatch to the layout's C test-and-set (see sketches/_native.py);
@@ -174,81 +153,63 @@ class BloomFilter(Sketch):
     def add(self, item) -> bool:
         """Insert one item; returns False if it was (probably) already present
         — the duplicate signal, matching the reference's add()."""
-        require_writeable(self._bits, self.kind)
-        h1, h2 = self._scalar_hashes(item)
-        seen = self._test_and_set(self._indices(h1, h2))
-        if not seen[0]:
-            self.n_added += 1
-        return not bool(seen[0])
+        return bool(self.add_hashed(*self._scalar_hashes(item))[0])
 
     def contains(self, item) -> bool:
-        h1, h2 = self._scalar_hashes(item)
-        idx = self._indices(h1, h2)
-        word = (idx >> np.uint64(6)).astype(np.int64)
-        bit = np.uint64(1) << (idx & np.uint64(63))
-        return bool(((self._bits[word] & bit) != 0).all())
+        return bool(self.contains_hashed(*self._scalar_hashes(item))[0])
 
     # --- vectorized API (the hot path) ---------------------------------------
 
     def add_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Insert pre-hashed keys; returns bool array 'was_new'.
 
-        Within the batch, only the first occurrence of each (h1,h2) pair can be
-        new; repeats are not-new regardless of filter state."""
+        The verdicts of inserting the keys one at a time, in order: key i is
+        new unless each of its k bits was set before the batch or by an
+        earlier key of the batch, so a repeat within the batch is not new."""
         require_writeable(self._bits, self.kind)
         if len(h1) == 0:
             return np.zeros(0, dtype=bool)
         h1 = np.ascontiguousarray(h1, dtype=np.uint64)
         h2 = np.ascontiguousarray(h2, dtype=np.uint64)
-        n = len(h1)
-        # native fast path: a sequential C loop (sketches/_native.py) — the
-        # reference's exact one-at-a-time semantics with software prefetch,
-        # none of the batch kernel's (n, k) index/scatter temporaries.
-        # Intra-batch repeats need no special handling (the first occurrence
-        # sets the bits the second one reads). ~10-30x the numpy kernel.
+        seen = np.empty(len(h1), dtype=np.uint8)
+        # native fast path: a sequential C loop (sketches/_native.py) with
+        # software prefetch and none of the numpy path's temporaries
         nat = _native.get_kernels()
         if nat is not None:
-            seen = np.empty(n, dtype=np.uint8)
             self._native_tas(nat, h1, h2, seen)
-            was_new = seen == 0
-            self.n_added += int(was_new.sum())
-            return was_new
-        # exact within-batch first-occurrence. Sort on h1 ALONE (plain
-        # quicksort argsort is ~7x faster than the stable 2-key lexsort);
-        # equal-(h1,h2) rows land in the same h1-run, and the batch-first
-        # survivor of each run is its minimum original index (reduceat).
-        # Runs where h2 differs — a 64-bit h1 collision between distinct
-        # keys, ~n^2/2^64 per batch — take the exact lexsort path on just
-        # those rows, so the fast path never trades correctness.
-        order = np.argsort(h1)
-        h1s = h1[order]
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        run_start[1:] = h1s[1:] != h1s[:-1]
-        starts = np.flatnonzero(run_start)
-        h2s = h2[order]
-        h2_min = np.minimum.reduceat(h2s, starts)
-        h2_max = np.maximum.reduceat(h2s, starts)
-        dirty = h2_min != h2_max
-        survivors = np.minimum.reduceat(order, starts)
-        is_first = np.zeros(n, dtype=bool)
-        is_first[survivors[~dirty]] = True
-        if dirty.any():
-            run_id = np.cumsum(run_start) - 1
-            rows = order[dirty[run_id]]  # original indices in dirty runs
-            sub1, sub2 = h1[rows], h2[rows]
-            sub_order = np.lexsort((sub2, sub1))
-            s1, s2 = sub1[sub_order], sub2[sub_order]
-            grp = np.empty(len(rows), dtype=bool)
-            grp[0] = True
-            grp[1:] = (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1])
-            gstarts = np.flatnonzero(grp)
-            gsurv = np.minimum.reduceat(rows[sub_order], gstarts)
-            is_first[gsurv] = True
-        seen_before = self._test_and_set(self._indices(h1, h2))
-        was_new = is_first & ~seen_before
+        else:
+            # the rule is sequential, so steps in order give the batch's
+            # verdicts
+            for lo in range(0, len(h1), _NUMPY_STEP):
+                hi = lo + _NUMPY_STEP
+                seen[lo:hi] = self._numpy_tas(h1[lo:hi], h2[lo:hi])
+        was_new = seen == 0
         self.n_added += int(was_new.sum())
         return was_new
+
+    def _numpy_tas(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """The C kernels' rule in numpy: bool (n,) 'key i was seen'; sets
+        the keys' bits. Sorting the probes of unset bits by bit groups each
+        bit's probes; the least key among them sets the bit, and every
+        later key of the group finds it set."""
+        idx = self._indices(h1, h2).ravel()
+        seen = self._is_set(idx)
+        unset = np.flatnonzero(~seen)
+        unset = unset[np.argsort(idx[unset])]
+        pos = idx[unset]
+        first = np.empty(len(pos), dtype=bool)
+        first[:1] = True
+        np.not_equal(pos[1:], pos[:-1], out=first[1:])
+        key = unset // self.k
+        setter = np.minimum.reduceat(key, np.flatnonzero(first))
+        seen[unset] = setter[np.cumsum(first) - 1] < key
+        new = pos[first]
+        np.bitwise_or.at(
+            self._bits,
+            (new >> np.uint64(6)).astype(np.int64),
+            np.uint64(1) << (new & np.uint64(63)),
+        )
+        return seen.reshape(len(h1), self.k).all(axis=1)
 
     def add_batch(self, values) -> np.ndarray:
         """Hash + insert a column of strings/bytes; returns 'was_new' bools.
@@ -274,9 +235,7 @@ class BloomFilter(Sketch):
         idx = self._indices(
             np.ascontiguousarray(h1, np.uint64), np.ascontiguousarray(h2, np.uint64)
         )
-        word = (idx >> np.uint64(6)).astype(np.int64)
-        bit = np.uint64(1) << (idx & np.uint64(63))
-        return ((self._bits[word] & bit) != 0).all(axis=self._probe_axis)
+        return self._is_set(idx).all(axis=1)
 
     def contains_batch(self, values) -> np.ndarray:
         h1, h2 = hash_pair_batch(values, self.seed)
@@ -423,8 +382,6 @@ class SplitBlockBloomFilter(BloomFilter):
     kind = "bloom_split"
 
     LANES = 8
-
-    _probe_axis = 1
 
     def __init__(
         self,
@@ -634,12 +591,6 @@ class PartitionedBloomFilter(BloomFilter):
 
     def contains_hashed(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         return self.by_row(self.rows_of(h1), h1, h2, BloomFilter.contains_hashed)
-
-    def add(self, item) -> bool:
-        return bool(self.add_hashed(*self._scalar_hashes(item))[0])
-
-    def contains(self, item) -> bool:
-        return bool(self.contains_hashed(*self._scalar_hashes(item))[0])
 
     def count_estimate(self) -> int:
         return sum(f.count_estimate() for f in self.partitions)

@@ -277,6 +277,7 @@ def run_flagship_checkpointed(
             tmp_out = wave_out + ".tmp"
             shutil.rmtree(tmp_out, ignore_errors=True)
             shutil.rmtree(wave_out, ignore_errors=True)
+            os.makedirs(tmp_out)  # a wave of no rows writes no part file
 
             res = run_flagship(
                 read_parquet_files(files, columns),

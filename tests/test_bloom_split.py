@@ -9,10 +9,10 @@ contract (tests/test_bloom.py), plus:
 - the probe-CONSTANT independence regression: deriving lane constants as
   small odd multiples of one golden constant correlated the top bits and
   measured 2.9e-3 FPR where the mixture model said 1e-8;
-- numpy/native parity for both layouts (the C kernel must compute
-  the identical probe indices, and its sequential semantics must agree
-  with the batch kernel whenever no intra-batch false positive occurs —
-  i.e. deterministically at these fills).
+- numpy/native parity for both layouts: the numpy insert and the C kernel
+  compute the same probe indices and give the same one-at-a-time verdicts
+  and bits, also on overfilled filters, where keys find all their bits set
+  by earlier keys of their own batch.
 """
 
 import numpy as np
@@ -162,14 +162,30 @@ def test_marginal_fpr_takes_n_items(layout):
 # --- native kernel parity ---------------------------------------------------
 
 
-LAYOUTS = {
-    "classic": lambda: BloomFilter(1e-6, m=2**23, k=10),
-    "classic_nonpow2": lambda: BloomFilter(1e-6, m=2**23 - 64, k=10),
-    "split": lambda: SplitBlockBloomFilter(1e-6, m=2**23),
+#: layout → (filter, fresh keys per chunk)
+SPARSE = {
+    "classic": (lambda: BloomFilter(1e-6, m=2**23, k=10), [40_000]),
+    "classic_nonpow2": (lambda: BloomFilter(1e-6, m=2**23 - 64, k=10), [40_000]),
+    "split": (lambda: SplitBlockBloomFilter(1e-6, m=2**23), [40_000]),
     # 3 * 2**21 bits → 12288 blocks: exercises the modulus (non-pow2)
     # block-select path in both the numpy and C kernels
-    "split_nonpow2": lambda: SplitBlockBloomFilter(1e-6, m=3 * 2**21),
+    "split_nonpow2": (lambda: SplitBlockBloomFilter(1e-6, m=3 * 2**21), [40_000]),
 }
+#: a few hundred keys per chunk in 2^12 bits or 8 blocks (and non-pow2
+#: sizes): keys find all their bits set by earlier keys of their own batch
+OVERFILLED = {
+    "classic_full": (lambda: BloomFilter(1e-6, m=2**12, k=10), [200, 300, 500]),
+    "classic_full_nonpow2": (
+        lambda: BloomFilter(1e-6, m=2**12 - 96, k=10), [200, 300, 500],
+    ),
+    "split_full": (
+        lambda: SplitBlockBloomFilter(1e-6, m=8 * BLOCK_BITS), [200, 300, 500],
+    ),
+    "split_full_nonpow2": (
+        lambda: SplitBlockBloomFilter(1e-6, m=6 * BLOCK_BITS), [150, 250, 400],
+    ),
+}
+LAYOUTS = {**SPARSE, **OVERFILLED}
 
 
 @pytest.mark.skipif(
@@ -177,27 +193,43 @@ LAYOUTS = {
 )
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_native_matches_numpy(layout, monkeypatch):
-    """The C kernel must produce bit-identical filters and identical
-    was_new to the numpy batch kernel — including on duplicate-laden
-    batches — at fills where intra-batch false positives cannot occur."""
-    h1, h2 = _rand_hashes(40_000, 20)
-    rep = np.random.default_rng(21).integers(0, 40_000, 10_000)
-    H1 = np.concatenate([h1, h1[rep]])
-    H2 = np.concatenate([h2, h2[rep]])
+    """The C kernel and the numpy insert give identical was_new, n_added
+    and bits, chunk after chunk of fresh keys and repeats (a quarter of
+    each chunk repeats keys of it or of earlier chunks). On the overfilled
+    filters some key must find all its bits set by other, earlier keys of
+    its own batch, the case a batch rule would answer differently."""
+    make, sizes = LAYOUTS[layout]
+    rng = np.random.default_rng(21)
+    chunks, fresh = [], []
+    for i, n in enumerate(sizes):
+        h1, h2 = _rand_hashes(n, 20 + i)
+        fresh.append((h1, h2))
+        old1 = np.concatenate([f[0] for f in fresh])
+        old2 = np.concatenate([f[1] for f in fresh])
+        rep = rng.integers(0, len(old1), n // 4)
+        chunks.append((np.concatenate([h1, old1[rep]]), np.concatenate([h2, old2[rep]])))
 
-    nat_f = LAYOUTS[layout]()
-    wn_nat = nat_f.add_hashed(H1, H2)
+    nat_f = make()
+    nat, masked = [], 0
+    for H1, H2 in chunks:
+        before = nat_f.contains_hashed(H1, H2)
+        wn = nat_f.add_hashed(H1, H2)
+        nat.append((wn, nat_f.n_added, nat_f._bits.copy()))
+        first = np.zeros(len(H1), dtype=bool)
+        first[np.unique(H1, return_index=True)[1]] = True
+        masked += int((first & ~before & ~wn).sum())
+    assert masked > 0 if layout in OVERFILLED else masked == 0
 
     monkeypatch.setattr(_native, "get_kernels", lambda: None)
-    np_f = LAYOUTS[layout]()
-    wn_np = np_f.add_hashed(H1, H2)
-
-    assert np.array_equal(wn_nat, wn_np)
-    assert nat_f.n_added == np_f.n_added
-    assert np.array_equal(nat_f._bits, np_f._bits)
-    # and the second add agrees too (everything already present)
+    np_f = make()
+    for (H1, H2), (wn, n_added, bits) in zip(chunks, nat):
+        assert np.array_equal(np_f.add_hashed(H1, H2), wn)
+        assert np_f.n_added == n_added
+        assert np.array_equal(np_f._bits, bits)
+    # and a second add agrees too (everything already present)
     monkeypatch.undo()
-    assert not nat_f.add_hashed(h1, h2).any()
+    for h1, h2 in fresh:
+        assert not nat_f.add_hashed(h1, h2).any()
 
 
 def test_native_unavailable_falls_back(monkeypatch):

@@ -269,3 +269,31 @@ def test_format_flags_are_gone(monkeypatch, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--input", "in", "--output", "out", flag, "parquet"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["plain", "sort", "checkpoint"])
+def test_zero_row_input_writes_zero_metrics(ray_session, tmp_path, mode):
+    """A Parquet input with no rows gives the all-zero metrics JSON, as
+    the reference does on empty input, in each CLI mode; a checkpointed
+    run commits its wave."""
+    src = tmp_path / "empty"
+    src.mkdir()
+    pq.write_table(TRANSCRIPTS_SCHEMA.empty_table(), src / "empty.parquet")
+    flags = {
+        "plain": (),
+        "sort": ("--sort-output",),
+        "checkpoint": ("--checkpoint-dir", str(tmp_path / "ckpt")),
+    }[mode]
+    out, m = _run([str(src / "empty.parquet")], tmp_path, *flags)
+    assert os.path.isdir(out)
+    assert m == {
+        "TURNS": 0,
+        "TURNS_NULL_TEXT": 0,
+        "TURNS_MARKED_DUPLICATE": 0,
+        "CONVERSATIONS": 0,
+        "TURN_DUPLICATE_FRACTION": 0.0,
+    }
+    if mode == "checkpoint":
+        with open(tmp_path / "ckpt" / "manifest.json") as f:
+            manifest = json.load(f)
+        assert manifest["waves"]["0"]["status"] == "done"

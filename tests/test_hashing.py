@@ -177,9 +177,10 @@ def test_bad_seed_and_type_refused():
 
 def test_numpy_twin_meets_oracle_bounds():
     """The fallback meets the same bounds: this module, the Bloom
-    conformance tests and the HLL / count-min accuracy tests, run again in
-    a fresh interpreter with ``STREAMMD_NO_NATIVE=1`` (hashes from the
-    twin, Bloom probes from the numpy kernel)."""
+    conformance tests (the split layout's first-occurrence and scalar tests
+    and a host's routing among them) and the HLL / count-min accuracy
+    tests, run again in a fresh interpreter with ``STREAMMD_NO_NATIVE=1``
+    (hashes from the twin, Bloom inserts from the numpy rule)."""
     if os.environ.get("STREAMMD_NO_NATIVE"):
         pytest.skip("already running without the native kernels")
     sketches = "tests/test_sketches.py::"
@@ -200,6 +201,9 @@ def test_numpy_twin_meets_oracle_bounds():
         ),
         "tests/test_bloom_split.py::test_fpr_matches_mixture_model_and_constants_are_independent",
         "tests/test_bloom_split.py::test_count_estimate_tolerance",
+        "tests/test_bloom_split.py::test_fnr_zero_and_first_occurrence_semantics",
+        "tests/test_bloom_split.py::test_scalar_api_parity",
+        "tests/test_bloom_hosts.py::test_misrouted_key_is_refused",
     ]
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *targets],
