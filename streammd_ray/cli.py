@@ -251,8 +251,8 @@ def main(argv=None) -> int:
             )
             waves = manifest["waves"].values()
             _warn_overcapacity(
-                max(w.get("overcapacity_shards", 0) for w in waves),
-                max(w.get("max_marginal_fpr", 0.0) for w in waves),
+                max(w["overcapacity_shards"] for w in waves),
+                max(w["max_marginal_fpr"] for w in waves),
                 args,
             )
             metrics = manifest["metrics"]

@@ -5,6 +5,7 @@ TRANSCRIPTS_SCHEMA, is :mod:`.parquet_files`."""
 from __future__ import annotations
 
 from ..stages.dedup import ORDER_COLS
+from ..state.checkpoint import DISK_COMPRESSION
 
 
 def write_transcripts(ds, out_dir: str, *, sort: bool = False):
@@ -18,5 +19,5 @@ def write_transcripts(ds, out_dir: str, *, sort: bool = False):
     ``transcripts_sorted`` oracle query."""
     if sort:
         ds = ds.sort(list(ORDER_COLS))
-    ds.write_parquet(out_dir)
+    ds.write_parquet(out_dir, **DISK_COMPRESSION)
     return out_dir

@@ -10,35 +10,35 @@ adds the piece a multi-node run needs. Model:
   cross-wave duplicates are still caught), writing its part files to
   ``output_dir/wave-{i}`` atomically (tmp dir + rename).
 - After each wave the driver checks shard capacity (from the shard stats
-  the pass read), commits the output,
-  snapshots every Bloom partition's serialized filter and running
-  counters (``shards/wave-{i}/``, one file per partition, whichever host
-  process held it), and records the wave's counters, sketch states and
-  lineage (files, config, engine + hasher versions) in ``manifest.json``
-  (written atomically).
+  the pass read), commits the output, snapshots every Bloom partition's
+  filter (``shards/wave-{i}/``, one file per partition, whichever host
+  process held it), and in one atomic write of ``manifest.json`` records
+  the wave's lineage and replaces the run's state: the running merge of
+  the sketches and each partition's counters.
 - On resume, completed waves are skipped; host actors are spawned only if
   a wave is left to run (as many as the cluster's CPUs allow now, not as
-  many as wrote the snapshot), and re-loaded from
-  the last completed wave's snapshot, so re-processing an unfinished wave
-  re-inserts only keys that wave had added — Bloom re-insert is idempotent
-  for membership (SURVEY.md §4.2 retry note), and its output directory is
-  rewritten wholesale. Results are content-identical to one uninterrupted
-  run.
+  many as wrote the snapshot), and re-loaded from the last completed
+  wave's snapshot and the manifest's counters, so re-processing an
+  unfinished wave re-inserts only keys that wave had added — Bloom
+  re-insert is idempotent for membership (SURVEY.md §4.2 retry note), and
+  its output directory is rewritten wholesale. The sketches merge on from
+  the manifest's state: results equal one uninterrupted run's.
 
 This is the "partitioned parquet output + manifest of completed partitions"
 layout the scale guidance calls for — a failed 100-TB run resumes at wave
 granularity instead of restarting.
 
-On disk (manifest ``"format": 2``), every byte is zstd level 1
+On disk (manifest ``"format": 3``), every byte is zstd level 1
 (``DISK_COMPRESSION``):
 
 - ``output_dir/wave-{i}/part-*.parquet`` — the marked table, zstd-compressed
   parquet pages;
 - ``ckpt_dir/shards/wave-{i}/shard-{j}.bloom`` — partition j's filter in the
   sketch state layout (``sketches/base.py``), framed by :func:`compress`
-  (u64 raw size, then one zstd frame); ``counters.json`` beside them;
-- ``ckpt_dir/manifest.json`` — config, lineage and per-wave counters; each
-  wave's sketch states are base64 of :func:`compress` of their layout.
+  (u64 raw size, then one zstd frame);
+- ``ckpt_dir/manifest.json`` — config, per-wave lineage and counters, and
+  the state at the last done wave: ``"sketches"`` (base64 of
+  :func:`compress` of each layout) and ``"partitions"`` (counters).
 
 A manifest of another format (format 1 held hex-encoded pickled sketches
 and had no ``"format"`` key) is refused with a ``ValueError``: it is never
@@ -59,11 +59,11 @@ import struct
 import uuid
 
 #: the manifest's layout version; see the module docstring
-FORMAT = 2
+FORMAT = 3
 
 #: the compression of every byte a checkpointed job writes: shard
 #: snapshots and manifest states (``pa.Codec(**DISK_COMPRESSION)``) and the
-#: part files (``pq.write_table(..., **DISK_COMPRESSION)``)
+#: part files (``pq.write_table``/``Dataset.write_parquet(..., **DISK_COMPRESSION)``)
 DISK_COMPRESSION = {"compression": "zstd", "compression_level": 1}
 
 _RAW_SIZE = struct.Struct("<Q")
@@ -111,14 +111,18 @@ def _load_manifest(ckpt_dir: str) -> dict | None:
     return manifest
 
 
-def _snapshot_shards(hosts, stats: list[dict], ckpt_dir: str, tag: str) -> None:
-    """Persist every partition's filter + running counters under
-    ``ckpt_dir/shards/<tag>/`` (tmp + atomic rename per file), so a resumed
-    run's shard stats and capacity check report true keys_seen/dups. Each
-    host hands over its partitions' states by partition id, so
-    ``shard-{j}.bloom`` holds partition j whichever host held it.
-    ``stats`` is each partition's stats taken since its last insert (the
-    pass's ``shard_stats``), so the counters cost no second round trip."""
+def _encode_sketches(sketches: dict) -> dict[str, str]:
+    return {
+        n: base64.b64encode(compress(sk.to_bytes())).decode("ascii")
+        for n, sk in sketches.items()
+    }
+
+
+def _snapshot_shards(hosts, ckpt_dir: str, tag: str) -> None:
+    """Persist every partition's filter under ``ckpt_dir/shards/<tag>/``
+    (tmp + atomic rename per file). Each host hands over its partitions'
+    states by partition id, so ``shard-{j}.bloom`` holds partition j
+    whichever host held it."""
     import ray
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
@@ -129,20 +133,16 @@ def _snapshot_shards(hosts, stats: list[dict], ckpt_dir: str, tag: str) -> None:
             with open(tmp, "wb") as f:
                 f.write(compress(b))
             os.replace(tmp, os.path.join(state_dir, f"shard-{j}.bloom"))
-    shard_counters = [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
-    _atomic_write_json(os.path.join(state_dir, "counters.json"), shard_counters)
 
 
-def _restore_shards(hosts, ckpt_dir: str, tag: str) -> None:
+def _restore_shards(hosts, ckpt_dir: str, tag: str, counters: list[dict]) -> None:
     """Reload each host's partitions from a snapshot, which any host count
-    may have written: the partition count is ``counters.json``'s length."""
+    may have written, and from the manifest's ``counters`` of partitions."""
     import ray
 
     from .shards import host_partitions
 
     state_dir = os.path.join(ckpt_dir, "shards", tag)
-    with open(os.path.join(state_dir, "counters.json")) as f:
-        counters = json.load(f)
     futures = []
     for i, h in enumerate(hosts):
         parts = host_partitions(i, len(hosts), len(counters))
@@ -187,14 +187,12 @@ def run_flagship_checkpointed(
     and ``wave_size``, like the sizing, are pinned in the manifest config: a
     resume with any of them changed raises ``ValueError`` instead of mixing
     geometries or key specs, or of re-inserting files an earlier wave
-    already put in the restored filter (so does a manifest whose config
-    still holds the retired ``scope`` field or lacks ``wave_size``). A
-    ``wave_size`` below 1 raises ``ValueError``.
+    already put in the restored filter. A ``wave_size`` below 1 raises
+    ``ValueError``.
     Each wave's capacity is checked before it commits; an over-capacity
     filter raises ``CapacityExceeded`` unless ``allow_overcapacity``, and
     each wave's manifest entry records its ``overcapacity_shards`` count and
-    ``max_marginal_fpr`` (an entry written before these fields existed
-    lacks them; such a checkpoint still resumes).
+    ``max_marginal_fpr``.
 
     A wave is one engine read (``sources.parquet_files``), coerced to
     TRANSCRIPTS_SCHEMA in its read tasks as the CLI's plain run is, so a
@@ -203,7 +201,9 @@ def run_flagship_checkpointed(
     tail → part file), each over a contiguous group of the wave's files.
     ``wave_size`` sets only the checkpoint granularity.
 
-    Returns ``(manifest, merged_sketches)``. The marked table lands under
+    Returns ``(manifest, sketches)``: ``sketches`` is the running merge of
+    every wave's sketches, as the manifest stores it (the empty prototypes
+    when no wave has a file). The marked table lands under
     ``output_dir/wave-{i}/`` — partitioned parquet, one dir per wave, one
     part file per read task below Ray's target block size.
     """
@@ -211,8 +211,8 @@ def run_flagship_checkpointed(
 
     from .. import __version__
     from ..hashing import HASHER_ID
-    from ..pipelines.flagship import metrics_json, run_flagship
-    from ..sketches.base import Sketch, merge_all
+    from ..pipelines.flagship import default_sketch_specs, metrics_json, run_flagship
+    from ..sketches.base import Sketch
     from ..sources.parquet_files import read_parquet_files
     from .shards import make_shard_actors
 
@@ -238,26 +238,31 @@ def run_flagship_checkpointed(
         "engine_version": __version__,
         "hasher": HASHER_ID,
     }
-    manifest = _load_manifest(ckpt_dir)
-    if manifest is not None:
-        if manifest["config"] != config or manifest["input_files"] != input_files:
-            raise ValueError(
-                "checkpoint config/input mismatch — refusing to resume; "
-                "use a fresh ckpt_dir"
-            )
-    else:
-        manifest = {
-            "format": FORMAT,
-            "run_id": str(uuid.uuid4()),
-            "config": config,
-            "input_files": input_files,
-            "n_waves": len(waves),
-            "waves": {},
-        }
+    manifest = _load_manifest(ckpt_dir) or {
+        "format": FORMAT,
+        "run_id": str(uuid.uuid4()),
+        "config": config,
+        "input_files": input_files,
+        "n_waves": len(waves),
+        "sketches": _encode_sketches(
+            {n: sk for n, (_, sk) in default_sketch_specs().items()}
+        ),
+        "partitions": [{"keys_seen": 0, "dups": 0}] * num_shards,
+        "waves": {},
+    }
+    if manifest["config"] != config or manifest["input_files"] != input_files:
+        raise ValueError(
+            "checkpoint config/input mismatch — refusing to resume; "
+            "use a fresh ckpt_dir"
+        )
+    # the running state; each wave's to_bytes() leaves it equal to its
+    # decode, so a resumed run merges on from what an uninterrupted one holds
+    sketches = {
+        n: Sketch.from_bytes(decompress(base64.b64decode(b)))
+        for n, b in manifest["sketches"].items()
+    }
 
-    done = sorted(
-        int(k) for k, v in manifest["waves"].items() if v["status"] == "done"
-    )
+    done = sorted(map(int, manifest["waves"]))  # an entry is a done wave
     todo = [i for i in range(len(waves)) if i not in done]
     # spawned only when a wave is left to run; killed on every exit: map
     # workers keep the mark stage's shard handles alive, so the actors
@@ -269,7 +274,9 @@ def run_flagship_checkpointed(
     )
     try:
         if todo and done:
-            _restore_shards(shards, ckpt_dir, f"wave-{done[-1]}")
+            _restore_shards(
+                shards, ckpt_dir, f"wave-{done[-1]}", manifest["partitions"]
+            )
 
         for i in todo:
             files = waves[i]
@@ -291,7 +298,14 @@ def run_flagship_checkpointed(
             )
             report = res.check_capacity(allow_overcapacity=allow_overcapacity)
             os.replace(tmp_out, wave_out)
-            _snapshot_shards(shards, res.shard_stats, ckpt_dir, f"wave-{i}")
+            _snapshot_shards(shards, ckpt_dir, f"wave-{i}")
+            for n, sk in res.sketches.items():
+                sketches[n].merge(sk)
+            manifest["sketches"] = _encode_sketches(sketches)
+            manifest["partitions"] = [
+                {"keys_seen": s["keys_seen"], "dups": s["dups"]}
+                for s in res.shard_stats
+            ]
             manifest["waves"][str(i)] = {
                 "status": "done",
                 "files": files,
@@ -300,10 +314,6 @@ def run_flagship_checkpointed(
                 "metrics": {k: int(v) for k, v in res.counters.items()},
                 "overcapacity_shards": report["overcapacity_shards"],
                 "max_marginal_fpr": report["max_marginal_fpr"],
-                "sketches": {
-                    n: base64.b64encode(compress(sk.to_bytes())).decode("ascii")
-                    for n, sk in res.sketches.items()
-                },
             }
             _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
             # the previous snapshot goes only AFTER the manifest durably
@@ -318,29 +328,14 @@ def run_flagship_checkpointed(
         for s in shards:
             ray.kill(s)
 
-    # final metrics: sum counters, merge every sketch across waves (wave
-    # order is arbitrary — merges are associative by construction)
-    done_waves = manifest["waves"].values()
-    sketch_names = sorted({n for w in done_waves for n in w["sketches"]})
-    merged = {
-        n: merge_all(
-            [
-                Sketch.from_bytes(decompress(base64.b64decode(w["sketches"][n])))
-                for w in done_waves
-                if n in w["sketches"]
-            ]
-        )
-        for n in sketch_names
-    }
-
     def total(counter: str) -> int:
-        return sum(w["metrics"][counter] for w in done_waves)
+        return sum(w["metrics"][counter] for w in manifest["waves"].values())
 
     manifest["metrics"] = metrics_json(
         total("turns"),
         total("nulls"),
         total("dups"),
-        round(merged["convs_hll"].estimate()),
+        round(sketches["convs_hll"].estimate()),
     )
     _atomic_write_json(os.path.join(ckpt_dir, "manifest.json"), manifest)
-    return manifest, merged
+    return manifest, sketches

@@ -94,8 +94,7 @@ def test_cli_allow_overcapacity_warns(
     ray_session, data, tmp_path, capsys, checkpoint
 ):
     """Both CLI modes finish an over-capacity run under --allow-overcapacity
-    and print the same WARNING line; a checkpoint whose wave entries predate
-    the overcapacity fields still resumes."""
+    and print the same WARNING line."""
     paths, _ = data
     ckpt = str(tmp_path / "ckpt")
     argv = [
@@ -110,15 +109,6 @@ def test_cli_allow_overcapacity_warns(
     ]  # fmt: skip
     assert cli.main(argv) == 0
     assert "WARNING: 1/1 Bloom shards over capacity" in capsys.readouterr().err
-    if checkpoint:
-        manifest_path = os.path.join(ckpt, "manifest.json")
-        manifest = json.load(open(manifest_path))
-        for w in manifest["waves"].values():
-            del w["overcapacity_shards"], w["max_marginal_fpr"]
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
-        assert cli.main(argv) == 0
-        assert json.load(open(manifest_path))["metrics"] == manifest["metrics"]
 
 
 def test_cli_checkpoint_dir(ray_session, data, tmp_path):
@@ -166,31 +156,92 @@ def test_cli_checkpoint_dir_rejects_unsupported_flags(tmp_path, capsys, flags):
     assert flags[0] in capsys.readouterr().err
 
 
-def test_resume_refuses_format_1_manifest(tmp_path):
-    """A manifest from before format 2 (hex-encoded pickled sketch states,
-    no ``"format"`` key) is refused by name, not misread or restarted."""
+@pytest.mark.parametrize(
+    "found, old",
+    [
+        # hex-encoded pickled sketch states, no "format" key
+        (1, {"waves": {"0": {"status": "done", "sketches": {"convs_hll": "80059500"}}}}),
+        # each wave's sketch states; counters in a counters.json per snapshot
+        (2, {"format": 2, "waves": {"0": {"status": "done", "sketches": {}}}}),
+    ],
+    ids=["format1", "format2"],
+)
+def test_resume_refuses_old_format_manifest(tmp_path, found, old):
+    """A manifest of an earlier format is refused by name, not misread or
+    restarted."""
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
-    old = {
-        "run_id": "r",
-        "config": {},
-        "input_files": [],
-        "n_waves": 1,
-        "waves": {"0": {"status": "done", "sketches": {"convs_hll": "80059500"}}},
-    }
+    old = {"run_id": "r", "config": {}, "input_files": [], "n_waves": 1, **old}
     (ckpt / "manifest.json").write_text(json.dumps(old))
-    with pytest.raises(ValueError, match="format 1; this engine reads format 2"):
+    with pytest.raises(ValueError, match=f"format {found}; this engine reads format 3"):
         run_flagship_checkpointed(
             [], ckpt_dir=str(ckpt), output_dir=str(tmp_path / "out")
         )
     assert json.loads((ckpt / "manifest.json").read_text()) == old
 
 
+def test_zero_files_give_zero_metrics_and_empty_sketches(tmp_path):
+    """No input file, no wave: all-zero metrics and the four empty sketch
+    prototypes, as ``run_flagship`` gives for zero rows."""
+    from streammd_ray.pipelines.flagship import default_sketch_specs
+
+    manifest, sketches = run_flagship_checkpointed(
+        [], ckpt_dir=str(tmp_path / "ckpt"), output_dir=str(tmp_path / "out")
+    )
+    assert manifest["waves"] == {}
+    assert manifest["metrics"] == {
+        "TURNS": 0,
+        "CONVERSATIONS": 0,
+        "TURNS_NULL_TEXT": 0,
+        "TURNS_MARKED_DUPLICATE": 0,
+        "TURN_DUPLICATE_FRACTION": 0.0,
+    }
+    want = {n: sk.to_bytes() for n, (_, sk) in default_sketch_specs().items()}
+    assert {n: sk.to_bytes() for n, sk in sketches.items()} == want
+
+
+def test_manifest_holds_one_running_sketch_state(ray_session, tmp_path):
+    """Twelve one-file waves: no wave entry carries sketch states; the
+    manifest's one top-level state decodes to the returned sketches, and
+    its partition counters sum to the run's turns and dups."""
+    import base64
+
+    from streammd_ray.sketches.base import Sketch
+    from streammd_ray.state.checkpoint import decompress
+
+    paths = generate_transcripts(
+        str(tmp_path / "in"), n_turns=2_400, seed=5, dup_frac=0.3, n_files=12
+    )
+    manifest, sketches = run_flagship_checkpointed(
+        paths,
+        ckpt_dir=str(tmp_path / "ckpt"),
+        output_dir=str(tmp_path / "out"),
+        wave_size=1,
+        p=1e-9,
+        mem="1MiB",
+        num_shards=2,
+    )
+    assert len(manifest["waves"]) == 12
+    for w in manifest["waves"].values():
+        assert "sketches" not in w
+    stored = {
+        n: Sketch.from_bytes(decompress(base64.b64decode(b))).to_bytes()
+        for n, b in manifest["sketches"].items()
+    }
+    assert stored == {n: sk.to_bytes() for n, sk in sketches.items()}
+    m = manifest["metrics"]
+    parts = manifest["partitions"]
+    assert len(parts) == 2
+    assert sum(c["keys_seen"] for c in parts) == m["TURNS"] - m["TURNS_NULL_TEXT"]
+    assert sum(c["dups"] for c in parts) == m["TURNS_MARKED_DUPLICATE"]
+
+
 @pytest.mark.parametrize("layout", ["classic", "split"])
 def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout):
     """Each compressed ``shard-{j}.bloom`` decodes to a filter whose bits
-    equal live partition j's, whichever host holds it; restoring from
-    them reloads the hosts."""
+    equal live partition j's, whichever host holds it, and the snapshot
+    holds nothing else; restoring from them and the partition counters
+    reloads the hosts' filters and counters."""
     import ray
 
     from streammd_ray.sketches import BloomFilter
@@ -212,9 +263,12 @@ def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout
             ]
         )
         stats = partition_stats(ray.get([s.stats.remote() for s in shards]))
-        _snapshot_shards(shards, stats, str(tmp_path), "wave-0")
-        counters = json.loads((tmp_path / "shards" / "wave-0" / "counters.json").read_text())
-        assert counters == [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
+        _snapshot_shards(shards, str(tmp_path), "wave-0")
+        assert sorted(os.listdir(tmp_path / "shards" / "wave-0")) == [
+            "shard-0.bloom",
+            "shard-1.bloom",
+        ]
+        counters = [{"keys_seen": s["keys_seen"], "dups": s["dups"]} for s in stats]
         live = {}
         for b in ray.get([s.state.remote() for s in shards]):
             host_filter = BloomFilter.from_bytes(b)
@@ -229,9 +283,13 @@ def test_snapshot_files_decode_to_live_shard_state(ray_session, tmp_path, layout
             assert np.array_equal(got._bits, want._bits)
         fresh = make_shard_actors(2, mem="64KiB", layout=layout)
         try:
-            _restore_shards(fresh, str(tmp_path), "wave-0")
+            _restore_shards(fresh, str(tmp_path), "wave-0", counters)
             reloaded = ray.get([s.state.remote() for s in fresh])
             assert reloaded == ray.get([s.state.remote() for s in shards])
+            restored = partition_stats(ray.get([s.stats.remote() for s in fresh]))
+            assert [(s["keys_seen"], s["dups"]) for s in restored] == [
+                (s["keys_seen"], s["dups"]) for s in stats
+            ]
         finally:
             for s in fresh:
                 ray.kill(s)

@@ -88,7 +88,19 @@ def test_plain_run_remove_duplicates(ray_session, data, tmp_path):
     assert not pc.any(written["is_duplicate"]).as_py()
 
 
+def _codecs(files) -> set[str]:
+    """Every column chunk's compression codec across ``files``."""
+    return {
+        md.row_group(g).column(c).compression
+        for md in (pq.ParquetFile(f).metadata for f in files)
+        for g in range(md.num_row_groups)
+        for c in range(md.num_columns)
+    }
+
+
 def test_plain_run_sort_output_replays_global_order(ray_session, data, tmp_path):
+    """--sort-output part files replay the global order; they and the plain
+    run's are zstd-compressed (``DISK_COMPRESSION``)."""
     paths, truth = data
     out, m = _run(paths, tmp_path, "--sort-output")
     _assert_metrics_match_truth(m, truth)
@@ -97,6 +109,9 @@ def test_plain_run_sort_output_replays_global_order(ray_session, data, tmp_path)
     got_keys = list(zip(got["conv_id"].to_pylist(), got["turn_idx"].to_pylist()))
     want = sorted(zip(truth["conv_id"], truth["turn_idx"].astype(int)))
     assert got_keys == want  # ORDER-sensitive comparison
+    plain, _ = _run(paths, tmp_path, name="plain")
+    assert _codecs(files) == {"ZSTD"}
+    assert _codecs(glob.glob(os.path.join(plain, "*.parquet"))) == {"ZSTD"}
 
 
 def test_plain_run_remarks_own_output(ray_session, data, tmp_path):

@@ -73,15 +73,16 @@ def test_full_run_marks_cross_wave_dups(ray_session, wave_files, tmp_path):
     # every repeated text is marked exactly once (on its later occurrence)
     dup_texts = marked[marked["is_duplicate"]]["text"]
     assert dup_texts.is_unique and len(dup_texts) == 400
-    # every sketch state persisted per wave and merged across waves
+    # one running merge of every sketch, stored once in the manifest
     assert set(merged) == {"convs_hll", "tools_cms", "len_tdigest", "len_kll"}
+    assert set(manifest["sketches"]) == set(merged)
     assert merged["len_tdigest"].quantile(0.5) > 0
     assert merged["tools_cms"].top_k(5)
     assert merged["convs_hll"].estimate() > 0
-    # every wave recorded its committed part files
+    # every wave recorded its committed part files, and lineage only
     for w in manifest["waves"].values():
         assert w["status"] == "done" and w["parts"]
-        assert set(w["sketches"]) == set(merged)
+        assert "sketches" not in w
 
 
 def test_kill_and_resume_content_identical(
@@ -152,6 +153,46 @@ def test_kill_and_resume_content_identical(
     want = _read_marked(str(tmp_path / "out_ref"))
     pd.testing.assert_frame_equal(got, want)
     assert manifest["metrics"]["TURNS_MARKED_DUPLICATE"] == 400
+
+
+def test_resumed_sketches_equal_uninterrupted_bytes(
+    ray_session, wave_files, tmp_path, monkeypatch
+):
+    """Killed after wave 1 of 3 one-file waves and resumed, the run returns
+    sketches whose state bytes equal an uninterrupted run's: the resume
+    merges on from the manifest's running state, which equals the killed
+    run's in-memory state. One-file waves fix each wave's partial order."""
+    import streammd_ray.pipelines.flagship as fmod
+
+    real = fmod.run_flagship
+    run = dict(wave_size=1, p=1e-9, num_shards=4)
+    ckpt, out = str(tmp_path / "ckpt"), str(tmp_path / "out")
+    calls = {"n": 0}
+
+    def crashing(*a, **k):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise RuntimeError("simulated crash")
+        return real(*a, **k)
+
+    monkeypatch.setattr(fmod, "run_flagship", crashing)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_flagship_checkpointed(wave_files, ckpt_dir=ckpt, output_dir=out, **run)
+    assert list(json.load(open(os.path.join(ckpt, "manifest.json")))["waves"]) == ["0"]
+    monkeypatch.undo()
+    manifest, resumed = run_flagship_checkpointed(
+        wave_files, ckpt_dir=ckpt, output_dir=out, **run
+    )
+    _, whole = run_flagship_checkpointed(
+        wave_files,
+        ckpt_dir=str(tmp_path / "ckpt_ref"),
+        output_dir=str(tmp_path / "out_ref"),
+        **run,
+    )
+    assert sorted(manifest["waves"]) == ["0", "1", "2"]
+    assert {n: sk.to_bytes() for n, sk in resumed.items()} == {
+        n: sk.to_bytes() for n, sk in whole.items()
+    }
 
 
 def _shard_actor_ids() -> set:
